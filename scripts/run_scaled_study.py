@@ -4,10 +4,11 @@
 Defaults reproduce the desk-scale acceptance configuration: the small survey
 geometry, the low/high-information scenario pair, 5 replicates, 5000
 iterations with 1500 burn-in, master seed 20260814.  Pass ``--full`` for the
-full-scale configuration (12 scenarios, 10 replicates, 30000 iterations on
-the large geometry) — expect that one to run for days on a single core, so
-use ``--workers`` and keep the output directory around: re-running with the
-same directory and seed resumes from its checkpoints.
+full-scale configuration (12 scenarios, 10 replicates, and `McmcConfig`'s
+default chain of 30000 iterations with 5000 burn-in on the large geometry) —
+expect that one to run for days on a single core, so use ``--workers`` and
+keep the output directory around: re-running with the same directory and
+seed resumes from its checkpoints.
 """
 
 import argparse
@@ -29,9 +30,11 @@ def parse_args(argv=None):
     parser.add_argument("--n-sim", type=int, default=None,
                         help="replicates per scenario (default 5, or 10 with --full)")
     parser.add_argument("--iterations", type=int, default=None,
-                        help="MCMC iterations (default 5000, or 30000 with --full)")
+                        help="MCMC iterations (default 5000, or McmcConfig's "
+                             f"{McmcConfig.n_iter} with --full)")
     parser.add_argument("--burn-in", type=int, default=None,
-                        help="burn-in iterations (default 1500, or 5000 with --full)")
+                        help="burn-in iterations (default 1500, or McmcConfig's "
+                             f"{McmcConfig.burn_in} with --full)")
     parser.add_argument("--workers", type=int, default=1,
                         help="parallel worker processes (default %(default)s)")
     parser.add_argument("--full", action="store_true",
@@ -44,8 +47,8 @@ def main(argv=None) -> int:
     if args.full:
         design, scenarios = standard_design(), scenario_table()
         n_sim = args.n_sim or 10
-        mcmc = McmcConfig(n_iter=args.iterations or 30000,
-                          burn_in=args.burn_in or 5000)
+        mcmc = McmcConfig(n_iter=args.iterations or McmcConfig.n_iter,
+                          burn_in=args.burn_in or McmcConfig.burn_in)
     else:
         design, scenarios = scaled_design(), scaled_scenarios()
         n_sim = args.n_sim or 5

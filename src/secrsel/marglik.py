@@ -16,14 +16,17 @@ the estimate is invariant to the order of the draws), and reports a batch
 -means Monte Carlo standard error.  A tuning density equal to the parameter
 prior makes all tuning factor ratios cancel, and both GD estimators then
 collapse onto the plain harmonic-mean code path, reproducing its output bit
-for bit.
+for bit.  Detection terms, linked capture counts and the latent prior come
+from `model` (`detection_loglik`, `CaptureDataset.counts`,
+`_latent_log_prior`); only the integrated likelihood contracts the same
+terms over its grid by a matrix product of its own.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -36,11 +39,19 @@ from .mcmc import Chain
 from .model import (
     _COMP_FLOOR,
     _check_permutation,
+    _gaussian,
+    _latent_log_prior,
+    _log_jacobian_draws,
+    _logit,
+    _per_trap,
+    _phi_terms,
+    _sigma_rows,
     _scale_upper_bounds,
     CaptureDataset,
     LatentState,
     ModelId,
     ModelParams,
+    detection_loglik,
     log_latent_prior,
     log_likelihood,
     log_prior,
@@ -211,10 +222,7 @@ def transformed_param_draws(chain: Chain) -> np.ndarray:
     Probabilities go through the logit; movement scales through
     logit(sigma / R) with R the prior upper bound.
     """
-    x = chain.param_matrix()
-    upper = _scale_upper_bounds(chain.model, chain.prior)
-    q = x / upper
-    return np.log(q) - np.log1p(-q)
+    return _logit(chain.param_matrix() / _scale_upper_bounds(chain.model, chain.prior))
 
 
 # ---------------------------------------------------------------------------
@@ -318,47 +326,8 @@ def bayes_factor(a: LogMarginal, b: LogMarginal) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Shared latent-state bookkeeping
+# Plug-in likelihood and latent prior at a pinned latent state
 # ---------------------------------------------------------------------------
-
-
-class _LinkedStats:
-    """Per-trap capture-count bookkeeping reusable across row assignments.
-
-    Precomputes detector-1 counts and the same-trap same-occasion overlap
-    between every nonzero detector-1 row and every nonzero detector-2 row,
-    so the (a, b, o) count matrices under any permutation are cheap gathers.
-    """
-
-    def __init__(self, data: CaptureDataset):
-        self.data = data
-        self.a = data.y1.sum(axis=2, dtype=np.int64)  # (M, J)
-        self.b_rows = data.y2.sum(axis=2, dtype=np.int64)  # (M, J)
-        self.a_any = self.a.any(axis=1)
-        self.rows2 = np.flatnonzero(self.b_rows.any(axis=1))
-        rows1 = np.flatnonzero(self.a_any)
-        self._pos1 = np.full(data.n_augmented, -1)
-        self._pos1[rows1] = np.arange(rows1.size)
-        if rows1.size and self.rows2.size:
-            self._overlap = np.einsum(
-                "ajk,bjk->abj",
-                data.y1[rows1].astype(np.int64),
-                data.y2[self.rows2].astype(np.int64),
-            )
-        else:
-            self._overlap = np.zeros((rows1.size, self.rows2.size, data.n_traps), np.int64)
-
-    def counts(self, perm: np.ndarray):
-        """(b, o) per-individual count matrices under `perm`, both (M, J)."""
-        b = np.zeros_like(self.a)
-        b[perm] = self.b_rows
-        o = np.zeros_like(self.a)
-        for pos2, row in enumerate(self.rows2):
-            owner = perm[row]
-            pos1 = self._pos1[owner]
-            if pos1 >= 0:
-                o[owner] = self._overlap[pos1, pos2]
-        return b, o
 
 
 def _safe_log(x: float) -> float:
@@ -370,7 +339,6 @@ def plug_in_loglik_draws(
     data: CaptureDataset,
     latent: LatentState,
     params: Mapping[str, np.ndarray],
-    stats: _LinkedStats | None = None,
 ) -> np.ndarray:
     """Data log-likelihood at each draw's scalars with the latent state fixed.
 
@@ -380,10 +348,8 @@ def plug_in_loglik_draws(
     the likelihood is zero for every draw.
     """
     model = ModelId(model)
-    stats = _LinkedStats(data) if stats is None else stats
-    b, o = stats.counts(latent.perm)
-    a = stats.a
-    captured = stats.a_any | (b > 0).any(axis=1)
+    b, o = data.counts.linked(latent.perm)
+    captured = data.counts.a_any | b.any(axis=1)
     n_draws = next(iter(params.values())).shape[0]
     broken_link = data.n_full and np.any(
         latent.perm[: data.n_full] != np.arange(data.n_full)
@@ -398,46 +364,14 @@ def plug_in_loglik_draws(
         out += xlogy(males_on, theta) + xlogy(on.size - males_on, 1.0 - theta)
     if on.size == 0:
         return out
-    k_occ = data.n_occasions
     dist2 = squared_distances(latent.s[on], data.traps)  # (N, J)
-    u_on = latent.u[on]
-    if model.has_sex_effect:
-        sig_m = np.asarray(params["sigma_m"], dtype=float)
-        sig_f = np.asarray(params["sigma_f"], dtype=float)
-    else:
-        sig = np.asarray(params["sigma"], dtype=float)
-    if model.has_trap_entry:
-        n_mat = (a + b - o)[on].astype(float)
-        rem = k_occ - n_mat
-        y_tot = float((a + b)[on].sum())
-        n_tot = float(n_mat.sum())
-        omega0 = np.asarray(params["omega0"], dtype=float)
-        phi = np.asarray(params["phi"], dtype=float)
-    else:
-        y_mat = (a + b)[on].astype(float)
-        rem2 = 2.0 * k_occ - y_mat
-        p0 = np.asarray(params["p0"], dtype=float)
+    a, b, o = data.counts.a[on], b[on], o[on]
     chunk = max(1, 1_000_000 // dist2.size)
     for lo in range(0, n_draws, chunk):
-        hi = min(n_draws, lo + chunk)
-        if model.has_sex_effect:
-            sig_rows = np.where(u_on[None, :] == 1, sig_m[lo:hi, None], sig_f[lo:hi, None])
-        else:
-            sig_rows = sig[lo:hi, None] * np.ones((1, on.size))
-        kernel = np.exp(dist2[None, :, :] / (-2.0 * sig_rows[:, :, None] ** 2))
-        if model.has_trap_entry:
-            eta = omega0[lo:hi, None, None] * kernel
-            w = phi[lo:hi] * (2.0 - phi[lo:hi])
-            comp = 1.0 - eta * w[:, None, None]
-            np.clip(comp, _COMP_FLOOR, None, out=comp)
-            ll = xlogy(n_mat[None], eta).sum(axis=(1, 2))
-            ll += (rem[None] * np.log(comp)).sum(axis=(1, 2))
-            ll += xlogy(y_tot, phi[lo:hi]) + xlogy(2.0 * n_tot - y_tot, 1.0 - phi[lo:hi])
-        else:
-            p = p0[lo:hi, None, None] * kernel
-            ll = xlogy(y_mat[None], p).sum(axis=(1, 2))
-            ll += xlogy(rem2[None], 1.0 - p).sum(axis=(1, 2))
-        out[lo:hi] += ll
+        draws = {k: np.asarray(v, dtype=float)[lo : lo + chunk, None] for k, v in params.items()}
+        kernel = _gaussian(dist2, _per_trap(_sigma_rows(model, draws, latent.u[on])))
+        ll = detection_loglik(model, kernel, a, b, o, data.n_occasions, draws)
+        out[lo : lo + chunk] += ll.sum(axis=-1)
     return out
 
 
@@ -449,16 +383,7 @@ def _latent_log_prior_draws(
     theta: np.ndarray | None,
 ) -> np.ndarray:
     """Latent-state log prior of a fixed state under each draw's scalars."""
-    m = latent.z.shape[0]
-    n_on = int(latent.z.sum())
-    psi = np.asarray(psi, dtype=float)
-    out = xlogy(n_on, psi) + xlogy(m - n_on, 1.0 - psi)
-    if ModelId(model).has_sex_effect:
-        off = latent.z == 0
-        males_off = int(latent.u[off].sum())
-        theta = np.asarray(theta, dtype=float)
-        out = out + xlogy(males_off, theta) + xlogy(int(off.sum()) - males_off, 1.0 - theta)
-    return out - m * math.log(data.statespace.area) - math.lgamma(m + 1)
+    return _latent_log_prior(model, latent.z, latent.u, psi, theta, data.statespace.area)
 
 
 # ---------------------------------------------------------------------------
@@ -475,79 +400,20 @@ class MapEstimate:
     achieved: float  # joint log posterior: likelihood + scalar and latent priors
     n_rounds: int
     loglik: float  # data log-likelihood component at the estimate
+    # plug_in_loglik_draws at mu_s_hat over the draws of `sweep_params`
+    plug_in_loglik: np.ndarray | None = field(default=None, compare=False, repr=False)
+    sweep_params: Mapping[str, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
 
-def _det_loglik_single(
-    model: ModelId,
-    data: CaptureDataset,
-    stats: _LinkedStats,
-    params: ModelParams,
-    z: np.ndarray,
-    u: np.ndarray,
-    s: np.ndarray,
-    perm: np.ndarray,
-) -> float:
-    """Detection log-likelihood of one latent state at one scalar vector."""
-    b, o = stats.counts(perm)
-    a = stats.a
-    on = np.flatnonzero(z == 1)
-    if on.size == 0:
-        return 0.0
-    dist2 = squared_distances(s[on], data.traps)
-    if model.has_sex_effect:
-        sigma_rows = np.where(u[on] == 1, params.sigma_m, params.sigma_f)
-    else:
-        sigma_rows = np.full(on.size, params.sigma)
-    kernel = np.exp(dist2 / (-2.0 * sigma_rows[:, None] ** 2))
-    k_occ = data.n_occasions
-    if model.has_trap_entry:
-        n_mat = (a + b - o)[on]
-        eta = params.omega0 * kernel
-        comp = 1.0 - eta * (params.phi * (2.0 - params.phi))
-        np.clip(comp, _COMP_FLOOR, None, out=comp)
-        y_tot = int((a + b)[on].sum())
-        n_tot = int(n_mat.sum())
-        ll = float(xlogy(n_mat, eta).sum() + ((k_occ - n_mat) * np.log(comp)).sum())
-        ll += float(xlogy(y_tot, params.phi) + xlogy(2 * n_tot - y_tot, 1.0 - params.phi))
-        return ll
-    y = (a + b)[on]
-    p = params.p0 * kernel
-    return float(xlogy(y, p).sum() + xlogy(2 * k_occ - y, 1.0 - p).sum())
-
-
-def _joint_at_latents(
-    model: ModelId,
-    data: CaptureDataset,
-    chain: Chain,
-    stats: _LinkedStats,
-    params: ModelParams,
-) -> np.ndarray:
+def _joint_at_latents(chain: Chain, data: CaptureDataset, params: ModelParams) -> np.ndarray:
     """Joint log posterior of (fixed scalars, each draw's latent state)."""
-    m = data.n_augmented
-    n = chain.n_draws
-    z = chain.z
-    u = chain.u
-    n_on = z.sum(axis=1).astype(float)
-    vals = xlogy(n_on, params.psi) + xlogy(m - n_on, 1.0 - params.psi)
-    if model.has_sex_effect:
-        males_on = (z & u).sum(axis=1).astype(float)
-        males_off = ((1 - z) * u).sum(axis=1).astype(float)
-        vals += xlogy(males_on, params.theta) + xlogy(n_on - males_on, 1.0 - params.theta)
-        vals += xlogy(males_off, params.theta)
-        vals += xlogy((m - n_on) - males_off, 1.0 - params.theta)
-    vals -= m * math.log(data.statespace.area) + math.lgamma(m + 1)
-    vals += _scalar_log_prior_const(model, chain)
-    for d in range(n):
-        vals[d] += _det_loglik_single(
-            model, data, stats, params, z[d], u[d], chain.s[d], chain.perm[d]
-        )
+    model = chain.model
+    vals = _latent_log_prior(
+        model, chain.z, chain.u, params.psi, params.theta, data.statespace.area
+    ) + log_prior(model, params, chain.prior)
+    for d in range(chain.n_draws):
+        vals[d] += log_likelihood(model, data, params, chain.latent_at(d))
     return vals
-
-
-def _scalar_log_prior_const(model: ModelId, chain: Chain) -> float:
-    """Log prior density of the active scalars (constant inside the support)."""
-    upper = _scale_upper_bounds(model, chain.prior)
-    return -float(np.log(upper).sum())
 
 
 def map_refine(chain: Chain, data: CaptureDataset) -> MapEstimate:
@@ -559,23 +425,25 @@ def map_refine(chain: Chain, data: CaptureDataset) -> MapEstimate:
     is tried.  Only strict improvements are accepted and each comparison is
     made within a single batch evaluation, so the achieved value is monotone
     over rounds and never below the best single draw.  Stops after the first
-    full alternation without improvement.
+    full alternation without improvement, whose first sweep is kept as the
+    estimate's `plug_in_loglik`.
     """
     if chain.n_draws == 0:
         raise ValueError("cannot refine the posterior mode of an empty chain")
     model = chain.model
-    stats = _LinkedStats(data)
     d_star = int(np.argmax(chain.loglik + chain.logprior))
     e_star = d_star
-    lp_scalar = _scalar_log_prior_const(model, chain)
+    lp_scalar = log_prior(model, chain.params, chain.prior)
     theta = chain.params.get("theta")
     n_rounds = 0
-    for _ in range(1000):  # strict improvement over a finite set terminates
+    improved = True
+    while improved:  # strict improvement over a finite set terminates
         n_rounds += 1
         improved = False
         latent = chain.latent_at(e_star)
+        plug_in = plug_in_loglik_draws(model, data, latent, chain.params)
         vals = (
-            plug_in_loglik_draws(model, data, latent, chain.params, stats)
+            plug_in
             + _latent_log_prior_draws(model, latent, data, chain.params["psi"], theta)
             + lp_scalar
         )
@@ -583,13 +451,11 @@ def map_refine(chain: Chain, data: CaptureDataset) -> MapEstimate:
         if vals[cand] > vals[d_star]:
             d_star = cand
             improved = True
-        vals = _joint_at_latents(model, data, chain, stats, chain.params_at(d_star))
+        vals = _joint_at_latents(chain, data, chain.params_at(d_star))
         cand = int(np.argmax(vals))
         if vals[cand] > vals[e_star]:
             e_star = cand
             improved = True
-        if not improved:
-            break
     mu_p = chain.params_at(d_star)
     mu_s = chain.latent_at(e_star)
     loglik = log_likelihood(model, data, mu_p, mu_s)
@@ -598,19 +464,12 @@ def map_refine(chain: Chain, data: CaptureDataset) -> MapEstimate:
         + log_prior(model, mu_p, chain.prior)
         + log_latent_prior(model, mu_s, mu_p, data.statespace)
     )
-    return MapEstimate(mu_p, mu_s, float(achieved), n_rounds, float(loglik))
+    return MapEstimate(mu_p, mu_s, float(achieved), n_rounds, float(loglik), plug_in, chain.params)
 
 
 # ---------------------------------------------------------------------------
 # Generalized harmonic mean with latents pinned at the mode
 # ---------------------------------------------------------------------------
-
-
-def _log_jacobian_draws(v: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Per-draw log |d params / d v| of the unconstraining transform, (n,)."""
-    return float(np.log(upper).sum()) - (
-        np.logaddexp(0.0, v) + np.logaddexp(0.0, -v)
-    ).sum(axis=1)
 
 
 def gd_map(
@@ -626,7 +485,9 @@ def gd_map(
     the log of its inverse; g is evaluated on the unconstrained scale, and
     the Jacobian keeps the ratio scale-consistent.  With `tuning` equal to
     the prior every factor except the likelihood cancels, and the call
-    reuses the harmonic-mean code path (bit-identical output).
+    reuses the harmonic-mean code path (bit-identical output).  The
+    likelihood sweep carried by `map_estimate` is reused when it was made
+    over this chain's draws.
     """
     if isinstance(tuning, TuningKind) and tuning.family == "prior":
         return _estimate_from_loglik(chain.loglik, "GD-MAP", "prior")
@@ -637,12 +498,16 @@ def gd_map(
     latent = map_estimate.mu_s_hat
     if not data.statespace.contains(latent.s).all():
         raise ValueError("mode latent state has centres outside the state space")
+    if map_estimate.sweep_params is chain.params:
+        plug_in = map_estimate.plug_in_loglik
+    else:
+        plug_in = plug_in_loglik_draws(model, data, latent, chain.params)
     v = transformed_param_draws(chain)
     upper = _scale_upper_bounds(model, chain.prior)
     log_g = fitted.log_density(v)
     denom = (
-        plug_in_loglik_draws(model, data, latent, chain.params)
-        + _scalar_log_prior_const(model, chain)
+        plug_in
+        + log_prior(model, chain.params, chain.prior)
         + _latent_log_prior_draws(model, latent, data, chain.params["psi"], chain.params.get("theta"))
         + _log_jacobian_draws(v, upper)
     )
@@ -668,7 +533,6 @@ class _GridGeometry:
 def _il_total(
     model: ModelId,
     data: CaptureDataset,
-    stats: _LinkedStats,
     geom: _GridGeometry,
     params: ModelParams,
     perm: np.ndarray,
@@ -677,11 +541,12 @@ def _il_total(
 
     Inclusion, sex, and activity centre are summed/averaged out per
     individual; observed sexes restrict the sex sum to the recorded value
-    (contributing their Bernoulli factor without renormalization).
+    (contributing their Bernoulli factor without renormalization).  Detection
+    terms are a (rows x traps) @ (traps x cells) product over the grid.
     """
-    b, o = stats.counts(perm)
-    a = stats.a
-    captured = stats.a_any | (b > 0).any(axis=1)
+    b, o = data.counts.linked(perm)
+    a = data.counts.a
+    captured = data.counts.a_any | b.any(axis=1)
     cap_rows = np.flatnonzero(captured)
     k_occ = data.n_occasions
     log_psi = _safe_log(params.psi)
@@ -702,12 +567,9 @@ def _il_total(
             log_comp = np.log(comp)
             if cap_rows.size:
                 n_mat = (a + b - o)[cap_rows].astype(float)
-                y_tot = (a + b)[cap_rows].sum(axis=1)
-                n_tot = n_mat.sum(axis=1)
                 ll = n_mat @ log_eta.T + (k_occ - n_mat) @ log_comp.T
-                ll += (xlogy(y_tot, params.phi) + xlogy(2 * n_tot - y_tot, 1.0 - params.phi))[
-                    :, None
-                ]
+                y_tot = (a + b)[cap_rows].sum(axis=1)
+                ll += _phi_terms(y_tot, n_mat.sum(axis=1), params.phi)[:, None]
             empty = k_occ * log_comp.sum(axis=1)  # (G,)
         else:
             log_p = _safe_log(params.p0) + log_kern
@@ -761,9 +623,7 @@ def integrated_log_likelihood(
     params.validate(model)
     perm = np.asarray(perm, dtype=np.int64)
     _check_permutation(perm, data.n_augmented)
-    stats = _LinkedStats(data)
-    geom = _GridGeometry(data, resolution)
-    return _il_total(model, data, stats, geom, params, perm)
+    return _il_total(model, data, _GridGeometry(data, resolution), params, perm)
 
 
 def integrated_loglik_draws(
@@ -774,11 +634,10 @@ def integrated_loglik_draws(
     This is the expensive shared input of `gd_il`; compute it once per chain
     and pass it to each tuning variant.
     """
-    stats = _LinkedStats(data)
     geom = _GridGeometry(data, resolution)
     il = np.empty(chain.n_draws)
     for d in range(chain.n_draws):
-        il[d] = _il_total(chain.model, data, stats, geom, chain.params_at(d), chain.perm[d])
+        il[d] = _il_total(chain.model, data, geom, chain.params_at(d), chain.perm[d])
     return il
 
 
@@ -808,5 +667,5 @@ def gd_il(
     fitted = tuning if isinstance(tuning, TuningDensity) else fit_tuning(chain, tuning)
     v = transformed_param_draws(chain)
     upper = _scale_upper_bounds(model, chain.prior)
-    denom = il + _scalar_log_prior_const(model, chain) + _log_jacobian_draws(v, upper)
+    denom = il + log_prior(model, chain.params, chain.prior) + _log_jacobian_draws(v, upper)
     return marginal_from_log_ratios(fitted.log_density(v) - denom, "GD-IL", fitted.kind.label)

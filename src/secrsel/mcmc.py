@@ -18,7 +18,9 @@ Update sweep per iteration:
 The sampler keeps per-row detection log-likelihood caches (and, for sex
 models, Gaussian kernels under both sexes) so that most updates are cheap
 arithmetic; caches are refreshed from scratch at the end of every iteration,
-which keeps the recorded values bit-equal to a fresh evaluation.
+which keeps the recorded values bit-equal to a fresh evaluation: detection
+terms, linked counts and log priors come from `model` (`detection_loglik`,
+`CaptureDataset.counts`, `log_prior`, `_latent_log_prior`), as in `audit_chain`.
 
 Validation knobs in `McmcConfig` (`flat_likelihood`, `s_grid`,
 `sample_scalars`) exist so tests can compare the sampler against exact
@@ -31,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 from .model import (
     CaptureDataset,
@@ -39,15 +40,20 @@ from .model import (
     ModelId,
     ModelParams,
     PriorSpec,
+    _gaussian,
+    _latent_log_prior,
+    _logit,
+    _sex_loglik,
+    _sigmoid,
     active_param_names,
+    detection_loglik,
     log_latent_prior,
     log_prior,
+    per_individual_log_likelihood,
     squared_distances,
 )
 
 __all__ = ["McmcConfig", "Chain", "fit", "audit_chain"]
-
-_COMP_FLOOR = 1e-300
 
 
 def _default_scales() -> dict[str, float]:
@@ -69,7 +75,7 @@ class McmcConfig:
     """Sampler settings; defaults match the full-scale study."""
 
     n_iter: int = 30000
-    burn_in: int = 10000
+    burn_in: int = 5000
     prior: PriorSpec = field(default_factory=PriorSpec)
     proposal_scales: dict[str, float] = field(default_factory=_default_scales)
     s_walk_scale: float = 0.2
@@ -150,14 +156,6 @@ def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return lo + np.where(t > width, 2.0 * width - t, t)
 
 
-def _logit(p: float) -> float:
-    return math.log(p) - math.log1p(-p)
-
-
-def _sigmoid(v: np.ndarray):
-    return 0.5 * (1.0 + np.tanh(0.5 * v))
-
-
 class _Sampler:
     """Mutable sampler state; one instance per fit, never shared."""
 
@@ -171,15 +169,13 @@ class _Sampler:
         self.k_occ = data.n_occasions
         self.flat = config.flat_likelihood
         self.sex = self.model.has_sex_effect
-        self.entry = self.model.has_trap_entry
 
-        # immutable per-row data summaries
-        self.a = data.y1.sum(axis=2, dtype=np.int64)  # (M, J) detector-1 counts
-        self.b_rows = data.y2.sum(axis=2, dtype=np.int64)  # (M, J) per detector-2 row
-        self.a_any = (self.a > 0).any(axis=1)
-        self.row_nonzero = (self.b_rows > 0).any(axis=1)
-        self._ov_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._zero_j = np.zeros(data.n_traps, dtype=np.int64)
+        # immutable per-row data summaries, shared with every other consumer
+        self.counts = data.counts
+        self.a = self.counts.a  # (M, J) detector-1 counts
+        self.b_rows = self.counts.b_rows  # (M, J) per detector-2 row
+        self.a_any = self.counts.a_any
+        self.row_nonzero = self.counts.row_nonzero
 
         names = active_param_names(self.model)
         self.active = names
@@ -251,9 +247,8 @@ class _Sampler:
         perm[perm < 0] = np.array(free, dtype=np.int64)[: (perm < 0).sum()]
         self.perm = perm
         self.inv = np.argsort(perm)
-
-        self._rebuild_assignment_stats()
-
+        self.bs, self.os = self.counts.linked(perm)  # linked detector-2 counts, overlaps
+        self.captured = self.a_any | self.row_nonzero[self.inv]
         if self.flat:
             self.captured = np.zeros(m, dtype=bool)
 
@@ -283,30 +278,6 @@ class _Sampler:
         self.s = s
         self.dist2 = squared_distances(self.s, data.traps)
 
-    def _overlap(self, i: int, b: int) -> np.ndarray:
-        """Occasions seen by both detectors per trap for pair (individual i, row b)."""
-        if not (self.a_any[i] and self.row_nonzero[b]):
-            return self._zero_j
-        key = (i, b)
-        got = self._ov_cache.get(key)
-        if got is None:
-            got = np.einsum(
-                "jk,jk->j", self.data.y1[i], self.data.y2[b], dtype=np.int64
-            )
-            self._ov_cache[key] = got
-        return got
-
-    def _rebuild_assignment_stats(self):
-        """Recompute linked detector-2 counts, overlaps, capture flags from perm."""
-        self.bs = self.b_rows[self.inv]
-        self.os = np.zeros_like(self.a)
-        for b in np.flatnonzero(self.row_nonzero):
-            i = self.perm[b]
-            self.os[i] = self._overlap(int(i), int(b))
-        self.captured = self.a_any | self.row_nonzero[self.inv]
-        if self.flat:
-            self.captured = np.zeros(self.m, dtype=bool)
-
     # -- cached quantities --------------------------------------------------
 
     def _sigma_values(self) -> np.ndarray:
@@ -316,47 +287,22 @@ class _Sampler:
 
     def _refresh_kernels(self):
         sig = self._sigma_values()
-        self.kernels = np.exp(
-            self.dist2[None, :, :] / (-2.0 * sig[:, None, None] ** 2)
-        )
-
-    def _kernel_rows(self, rows, sex_idx):
-        return self.kernels[sex_idx, rows]
+        self.kernels = _gaussian(self.dist2[None, :, :], sig[:, None, None])
 
     def _current_kernel(self) -> np.ndarray:
         if self.sex:
             return self.kernels[self.u.astype(np.int64), np.arange(self.m)]
         return self.kernels[0]
 
-    def _det_rows_from(self, kernel, a, bs, os, params) -> np.ndarray:
-        """Detection log-likelihood of rows (as if included), vectorised.
-
-        kernel/a/bs/os share leading shape (..., J).
-        """
-        if self.flat:
-            return np.zeros(kernel.shape[:-1])
-        if self.entry:
-            eta = params["omega0"] * kernel
-            phi = params["phi"]
-            n = a + bs - os
-            comp = 1.0 - eta * (phi * (2.0 - phi))
-            np.clip(comp, _COMP_FLOOR, None, out=comp)
-            ll = xlogy(n, eta).sum(axis=-1) + ((self.k_occ - n) * np.log(comp)).sum(
-                axis=-1
-            )
-            y_tot = (a + bs).sum(axis=-1)
-            n_tot = n.sum(axis=-1)
-            return ll + xlogy(y_tot, phi) + xlogy(2 * n_tot - y_tot, 1.0 - phi)
-        p = params["p0"] * kernel
-        y = a + bs
-        return xlogy(y, p).sum(axis=-1) + xlogy(
-            2 * self.k_occ - y, 1.0 - p
-        ).sum(axis=-1)
+    def _det(self, kernel, rows=slice(None), params=None) -> np.ndarray:
+        """Detection log-likelihood of `rows` under the current linked counts."""
+        params = self.params if params is None else params
+        return detection_loglik(
+            self.model, kernel, self.a[rows], self.bs[rows], self.os[rows], self.k_occ, params
+        )
 
     def _refresh_det(self):
-        self.det = self._det_rows_from(
-            self._current_kernel(), self.a, self.bs, self.os, self.params
-        )
+        self.det = np.zeros(self.m) if self.flat else self._det(self._current_kernel())
 
     def _refresh_caches(self):
         self._refresh_kernels()
@@ -365,8 +311,7 @@ class _Sampler:
 
     def _refresh_sexterm(self):
         if self.sex:
-            th = self.params["theta"]
-            self.sexterm = np.where(self.u == 1, math.log(th), math.log1p(-th))
+            self.sexterm = _sex_loglik(self.u, self.params["theta"])
         else:
             self.sexterm = np.zeros(self.m)
 
@@ -381,30 +326,13 @@ class _Sampler:
         p = self.rng.beta(1 + n_on, 1 + self.m - n_on)
         self.params["psi"] = float(np.clip(p, 1e-12, 1.0 - 1e-12))
 
-    def _latent_logprior_value(self) -> float:
-        params = self.params
-        n_on = int(self.z.sum())
-        total = n_on * math.log(params["psi"]) + (self.m - n_on) * math.log1p(
-            -params["psi"]
-        )
-        if self.sex:
-            off = self.z == 0
-            males_off = int(self.u[off].sum())
-            n_off = int(off.sum())
-            total += males_off * math.log(params["theta"]) + (
-                n_off - males_off
-            ) * math.log1p(-params["theta"])
-        total -= self.m * math.log(self.space.area)
-        total -= math.lgamma(self.m + 1)
-        return total
-
     def _update_scalar(self, name: str):
         self.n_prop[name] += 1
         cur = self.params[name]
         upper = self.upper[name]
         scale = self.cfg.proposal_scales[name]
         v_new = _logit(cur / upper) + scale * self.rng.standard_normal()
-        new = 0.5 * (1.0 + math.tanh(0.5 * v_new)) * upper
+        new = _sigmoid(v_new) * upper
         if not 0.0 < new < upper:  # numerically saturated proposal
             return
 
@@ -425,12 +353,10 @@ class _Sampler:
                 if self.sex:
                     sex_idx = 1 if name == "sigma_m" else 0
                     on = on & (self.u == sex_idx)
-                kern = np.exp(self.dist2[on] / (-2.0 * new**2))
+                kern = _gaussian(self.dist2[on], new)
             else:
                 kern = self._current_kernel()[on]
-            det_new = self._det_rows_from(
-                kern, self.a[on], self.bs[on], self.os[on], prop
-            )
+            det_new = self._det(kern, on, prop)
             delta = float(det_new.sum() - self.det[on].sum())
 
         # uniform prior densities cancel; the jacobian of the logit walk stays
@@ -447,17 +373,9 @@ class _Sampler:
                 if name in self.scale_names:
                     if self.sex:
                         sex_idx = 1 if name == "sigma_m" else 0
-                        self.kernels[sex_idx] = np.exp(
-                            self.dist2 / (-2.0 * new**2)
-                        )
+                        self.kernels[sex_idx] = _gaussian(self.dist2, new)
                         rows = self.u == sex_idx
-                        self.det[rows] = self._det_rows_from(
-                            self.kernels[sex_idx, rows],
-                            self.a[rows],
-                            self.bs[rows],
-                            self.os[rows],
-                            self.params,
-                        )
+                        self.det[rows] = self._det(self.kernels[sex_idx, rows], rows)
                         return
                     self._refresh_kernels()
                 self._refresh_det()
@@ -484,12 +402,8 @@ class _Sampler:
             self.u[idx] = (self.rng.random(idx.size) < th).astype(np.int8)
             self._refresh_sexterm()
             return
-        det_f = self._det_rows_from(
-            self.kernels[0, idx], self.a[idx], self.bs[idx], self.os[idx], self.params
-        )
-        det_m = self._det_rows_from(
-            self.kernels[1, idx], self.a[idx], self.bs[idx], self.os[idx], self.params
-        )
+        det_f = self._det(self.kernels[0, idx], idx)
+        det_m = self._det(self.kernels[1, idx], idx)
         on = self.z[idx] == 1
         w_m = math.log(th) + np.where(on, det_m, 0.0)
         w_f = math.log1p(-th) + np.where(on, det_f, 0.0)
@@ -522,8 +436,8 @@ class _Sampler:
                 sig_rows = sig[self.u.astype(np.int64)]
             else:
                 sig_rows = np.full(m, sig[0])
-            kern_new = np.exp(d2_new / (-2.0 * sig_rows[:, None] ** 2))
-            det_new = self._det_rows_from(kern_new, self.a, self.bs, self.os, self.params)
+            kern_new = _gaussian(d2_new, sig_rows[:, None])
+            det_new = self._det(kern_new)
             delta = np.where(self.z == 1, det_new - self.det, 0.0)
             accept = np.log(self.rng.random(m)) < delta
         self.n_acc["s"] += int(accept.sum())
@@ -536,14 +450,12 @@ class _Sampler:
             rows = np.flatnonzero(accept)
             sig = self._sigma_values()
             for c in range(sig.shape[0]):
-                self.kernels[c, rows] = np.exp(
-                    self.dist2[rows] / (-2.0 * sig[c] ** 2)
-                )
+                self.kernels[c, rows] = _gaussian(self.dist2[rows], sig[c])
 
     def _row_det(self, i: int, bs_row, os_row) -> float:
         kern = self.kernels[self.u[i] if self.sex else 0, i]
         return float(
-            self._det_rows_from(kern, self.a[i], bs_row, os_row, self.params)
+            detection_loglik(self.model, kern, self.a[i], bs_row, os_row, self.k_occ, self.params)
         )
 
     def _update_perm(self):
@@ -552,7 +464,6 @@ class _Sampler:
         if n_elig < 2:
             return
         n_prop = 2 * self.m
-        self.n_prop["perm"] += n_prop
         first = self.rng.integers(n_full, self.m, n_prop)
         # uniform over distinct partners
         offset = self.rng.integers(1, n_elig, n_prop)
@@ -560,16 +471,17 @@ class _Sampler:
         perm = self.perm
         inv = self.inv
         nz = self.row_nonzero
-        n_acc = 0
+        n_acc = n_null = 0
         for t in range(n_prop):
             b1 = int(first[t])
             b2 = int(second[t])
             if not (nz[b1] or nz[b2]):
-                # swapping two all-zero rows changes nothing measurable
+                # swapping two all-zero rows changes nothing measurable, so it
+                # is applied but counts as neither proposed nor accepted
                 i1, i2 = perm[b1], perm[b2]
                 perm[b1], perm[b2] = i2, i1
                 inv[i1], inv[i2] = b2, b1
-                n_acc += 1
+                n_null += 1
                 continue
             i1 = int(perm[b1])
             i2 = int(perm[b2])
@@ -581,8 +493,8 @@ class _Sampler:
                 delta = 0.0
                 det1_new = det2_new = 0.0
             else:
-                ov1 = self._overlap(i1, b2)
-                ov2 = self._overlap(i2, b1)
+                ov1 = self.counts.overlap(i1, b2)
+                ov2 = self.counts.overlap(i2, b1)
                 det1_new = self._row_det(i1, self.b_rows[b2], ov1)
                 det2_new = self._row_det(i2, self.b_rows[b1], ov2)
                 delta = 0.0
@@ -603,6 +515,7 @@ class _Sampler:
                     self.captured[i1] = cap1_new
                     self.captured[i2] = cap2_new
                 n_acc += 1
+        self.n_prop["perm"] += n_prop - n_null
         self.n_acc["perm"] += n_acc
 
     # -- main loop -------------------------------------------------------------
@@ -644,14 +557,19 @@ class _Sampler:
                 perind = np.where(self.z == 1, self.det + self.sexterm, 0.0)
                 rec_perind[d] = perind
                 rec_ll[d] = perind.sum()
-                rec_lp[d] = (
-                    self._scalar_logprior() + self._latent_logprior_value()
+                rec_lp[d] = log_prior(self.model, self.params, cfg.prior) + _latent_log_prior(
+                    self.model, self.z, self.u, self.params["psi"],
+                    self.params.get("theta"), self.space.area,
                 )
 
         accept = {}
         for k in self.n_prop:
             if self.n_prop[k]:
                 accept[k] = self.n_acc[k] / self.n_prop[k]
+        if "perm" not in accept and self.row_nonzero.any() and self.m - self.data.n_full >= 2:
+            # detector-2 captures exist but all are fully identified, so no
+            # swap could move one: the block ran and accepted nothing
+            accept["perm"] = 0.0
         return Chain(
             model=self.model,
             prior=cfg.prior,
@@ -667,11 +585,6 @@ class _Sampler:
             logprior=rec_lp,
             perind=rec_perind,
             accept=accept,
-        )
-
-    def _scalar_logprior(self) -> float:
-        return log_prior(
-            self.model, ModelParams(**self.params), self.cfg.prior
         )
 
 
@@ -697,8 +610,6 @@ def audit_chain(
     Returns the largest absolute discrepancy between stored and freshly
     computed values; sampling bugs and cache drift both show up here.
     """
-    from .model import log_likelihood, per_individual_log_likelihood
-
     rng = np.random.default_rng(rng)
     n = chain.n_draws
     n_check = max(1, int(round(fraction * n)))
@@ -707,11 +618,11 @@ def audit_chain(
     for d in idx:
         params = chain.params_at(int(d))
         latent = chain.latent_at(int(d))
-        ll = log_likelihood(chain.model, data, params, latent)
+        per = per_individual_log_likelihood(chain.model, data, params, latent)
+        ll = float(per.sum())  # log_likelihood
         lp = log_prior(chain.model, params, chain.prior) + log_latent_prior(
             chain.model, latent, params, data.statespace
         )
-        per = per_individual_log_likelihood(chain.model, data, params, latent)
         worst = max(worst, abs(ll - chain.loglik[d]))
         worst = max(worst, abs(lp - chain.logprior[d]))
         worst = max(worst, float(np.abs(per - chain.perind[d]).max()))

@@ -33,6 +33,12 @@ in log space and return ``-inf`` for states outside the support (an
 individual with captures but z=0, a permutation that unlinks a fully
 identified individual, an activity centre outside the state space) rather
 than raising.
+
+The detection log-likelihood of rows (`detection_loglik`, over any leading
+axes), the linked capture counts (`LinkedCounts`, cached per dataset as
+`CaptureDataset.counts`) and the latent prior (`_latent_log_prior`) are each
+computed here only; the sampler and the marginal-likelihood estimators call
+them rather than repeating them.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.special import xlogy
@@ -56,7 +63,9 @@ __all__ = [
     "trap_entry_prob",
     "detection_prob",
     "reorder_by_permutation",
+    "LinkedCounts",
     "detection_counts",
+    "detection_loglik",
     "per_individual_log_likelihood",
     "log_likelihood",
     "log_prior",
@@ -241,6 +250,11 @@ class CaptureDataset:
     def n_occasions(self) -> int:
         return self.y1.shape[2]
 
+    @cached_property
+    def counts(self) -> "LinkedCounts":
+        """Capture counts of both detectors, built on first use and shared."""
+        return LinkedCounts(self.y1, self.y2)
+
 
 # NaN marks "not used by this model"; active entries must be finite.
 @dataclass(frozen=True)
@@ -270,6 +284,9 @@ class ModelParams:
 
     def updated(self, **kwargs) -> "ModelParams":
         return replace(self, **kwargs)
+
+    def __getitem__(self, name: str) -> float:
+        return getattr(self, name)
 
     def validate(self, model: ModelId) -> None:
         for name in active_param_names(model):
@@ -323,7 +340,7 @@ def _check_permutation(perm: np.ndarray, m: int) -> None:
 def trap_entry_prob(omega0: float, sigma: float, d: float | np.ndarray):
     """Probability of walking into a trap at distance d from the centre."""
     if not 0 < omega0 < 1:
-        raise ValueError(f"omega0 must lie in (0, 1), got {omega0}")
+        raise ValueError(f"baseline probability must lie in (0, 1), got {omega0}")
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     d = np.asarray(d, dtype=float)
@@ -333,17 +350,9 @@ def trap_entry_prob(omega0: float, sigma: float, d: float | np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def detection_prob(p0: float, sigma: float, d: float | np.ndarray):
-    """Per-detector capture probability at distance d (direct-detection models)."""
-    if not 0 < p0 < 1:
-        raise ValueError(f"p0 must lie in (0, 1), got {p0}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    d = np.asarray(d, dtype=float)
-    if np.any(d < 0):
-        raise ValueError("distances must be non-negative")
-    out = p0 * np.exp(-(d * d) / (2.0 * sigma * sigma))
-    return float(out) if out.ndim == 0 else out
+#: Per-detector capture probability at distance d (direct-detection models):
+#: the same half-normal curve with baseline p0.
+detection_prob = trap_entry_prob
 
 
 def reorder_by_permutation(y2: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -363,61 +372,113 @@ def squared_distances(points: np.ndarray, traps: TrapGrid) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+class LinkedCounts:
+    """Per-trap capture counts of both detectors under any row assignment.
+
+    Holds detector-1 counts `a` per individual, detector-2 counts `b_rows` per
+    row (both (M, J), read-only) and the same-trap same-occasion overlap of
+    every nonzero detector-1 row with every nonzero detector-2 row, so the
+    linked counts under a permutation are gathers.  One instance serves every
+    consumer of a dataset, so its arrays are read-only.
+    """
+
+    def __init__(self, y1: np.ndarray, y2: np.ndarray):
+        self.a = y1.sum(axis=2, dtype=np.int64)
+        self.b_rows = y2.sum(axis=2, dtype=np.int64)
+        self.a_any = self.a.any(axis=1)
+        self.row_nonzero = self.b_rows.any(axis=1)
+        rows1 = np.flatnonzero(self.a_any)
+        self._rows2 = np.flatnonzero(self.row_nonzero)
+        self._pos1 = np.full(y1.shape[0], -1)
+        self._pos1[rows1] = np.arange(rows1.size)
+        self._pos2 = np.full(y2.shape[0], -1)
+        self._pos2[self._rows2] = np.arange(self._rows2.size)
+        self._overlap = np.einsum(
+            "ajk,bjk->abj", y1[rows1].astype(np.int64), y2[self._rows2].astype(np.int64)
+        )
+        self._zero = np.zeros(y1.shape[1], dtype=np.int64)
+        for shared in (self.a, self.b_rows, self.a_any, self.row_nonzero, self._overlap, self._zero):
+            shared.flags.writeable = False
+
+    def overlap(self, i: int, b: int) -> np.ndarray:
+        """Occasions seen by both detectors per trap if row b belongs to i."""
+        p1, p2 = self._pos1[i], self._pos2[b]
+        return self._overlap[p1, p2] if p1 >= 0 and p2 >= 0 else self._zero
+
+    def linked(self, perm: np.ndarray):
+        """Fresh (b, o) per-individual count matrices under `perm`, (M, J)."""
+        b = np.empty_like(self.b_rows)
+        b[perm] = self.b_rows
+        o = np.zeros_like(self.a)
+        owners = perm[self._rows2]
+        p1 = self._pos1[owners]
+        hit = p1 >= 0
+        o[owners[hit]] = self._overlap[p1[hit], np.flatnonzero(hit)]
+        return b, o
+
+
 def detection_counts(data: CaptureDataset, perm: np.ndarray):
     """Per-individual per-trap capture counts after linking detector-2 rows.
 
     Returns (a, b, o): detector-1 counts, linked detector-2 counts, and the
     count of occasions seen by both detectors at the same trap.  All (M, J)
-    int64.
+    int64; `a` is the dataset's shared, read-only array.
     """
-    _check_permutation(np.asarray(perm, dtype=np.int64), data.n_augmented)
-    a = data.y1.sum(axis=2, dtype=np.int64)
-    b_rows = data.y2.sum(axis=2, dtype=np.int64)
-    b = np.empty_like(b_rows)
-    b[perm] = b_rows
-    o_rows = np.einsum("bjk,bjk->bj", data.y1[perm], data.y2, dtype=np.int64)
-    o = np.zeros_like(a)
-    o[perm] = o_rows
-    return a, b, o
+    perm = np.asarray(perm, dtype=np.int64)
+    _check_permutation(perm, data.n_augmented)
+    return (data.counts.a, *data.counts.linked(perm))
 
 
-def _sigma_vector(model: ModelId, params: ModelParams, u: np.ndarray) -> np.ndarray:
+def _sigma_rows(model: ModelId, params, u: np.ndarray):
+    """Movement scale of rows with sexes u (one scalar without a sex effect)."""
     if model.has_sex_effect:
-        return np.where(u == 1, params.sigma_m, params.sigma_f)
-    return np.full(u.shape, params.sigma)
+        return np.where(u == 1, params["sigma_m"], params["sigma_f"])
+    return params["sigma"]
 
 
-def _detection_loglik_rows(
-    model: ModelId,
-    params: ModelParams,
-    dist2: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    o: np.ndarray,
-    k_occ: int,
-    sigma_rows: np.ndarray,
-) -> np.ndarray:
-    """Detection part of the per-individual log-likelihood (rows as if z=1).
+def _gaussian(dist2: np.ndarray, sigma) -> np.ndarray:
+    """exp(-d^2 / (2 sigma^2)); `sigma` broadcasts against `dist2`.
 
-    Shapes: dist2 (M, J); a/b/o (M, J); sigma_rows (M,).  Sex Bernoulli terms
-    are not included here.
+    Not sigma**2: for a scalar that is libm pow, which can differ in the last
+    bit from the square an array gets, and the sampler caches both kinds.
     """
-    sig2 = sigma_rows[:, None] ** 2
-    kernel = np.exp(dist2 / (-2.0 * sig2))
+    return np.exp(dist2 / (-2.0 * (sigma * sigma)))
+
+
+def _per_trap(x):
+    """Give a per-draw scalar array a trailing axis to broadcast over traps."""
+    return x[..., None] if np.ndim(x) else x
+
+
+def _phi_terms(y_tot, n_tot, phi, ll=0.0):
+    """ll plus the log-probability of y_tot records in 2 n_tot detector chances."""
+    return ll + xlogy(y_tot, phi) + xlogy(2 * n_tot - y_tot, 1.0 - phi)
+
+
+def detection_loglik(model: ModelId, kernel, a, b, o, k_occ: int, params) -> np.ndarray:
+    """Detection log-likelihood of rows as if included, shape kernel.shape[:-1].
+
+    kernel/a/b/o broadcast over shared leading axes and end in the trap axis.
+    `params` maps scalar names to floats or to arrays that broadcast against
+    the leading axes (e.g. (n_draws, 1) for a batch of draws over rows).
+    Sex Bernoulli terms are not included.
+    """
     if model.has_trap_entry:
-        eta = params.omega0 * kernel
+        phi = params["phi"]
+        eta = _per_trap(params["omega0"]) * kernel
         n = a + b - o  # occasions with at least one detector record
-        y_tot = (a + b).sum(axis=1)
-        n_tot = n.sum(axis=1)
-        comp = 1.0 - eta * (params.phi * (2.0 - params.phi))
+        comp = 1.0 - eta * _per_trap(phi * (2.0 - phi))
         np.clip(comp, _COMP_FLOOR, None, out=comp)
-        ll = xlogy(n, eta).sum(axis=1)
-        ll += ((k_occ - n) * np.log(comp)).sum(axis=1)
-        ll += xlogy(y_tot, params.phi) + xlogy(2 * n_tot - y_tot, 1.0 - params.phi)
-        return ll
-    p = params.p0 * kernel
+        ll = xlogy(n, eta).sum(axis=-1) + ((k_occ - n) * np.log(comp)).sum(axis=-1)
+        return _phi_terms((a + b).sum(axis=-1), n.sum(axis=-1), phi, ll)
+    p = _per_trap(params["p0"]) * kernel
     y = a + b
-    return xlogy(y, p).sum(axis=1) + xlogy(2 * k_occ - y, 1.0 - p).sum(axis=1)
+    return xlogy(y, p).sum(axis=-1) + xlogy(2 * k_occ - y, 1.0 - p).sum(axis=-1)
+
+
+def _sex_loglik(u: np.ndarray, theta: float) -> np.ndarray:
+    """Bernoulli(theta) log-probability of each sex (1 male, 0 female)."""
+    return np.where(u == 1, math.log(theta), math.log1p(-theta))
 
 
 def per_individual_log_likelihood(
@@ -438,15 +499,15 @@ def per_individual_log_likelihood(
     if latent.z.shape[0] != data.n_augmented:
         raise ValueError("latent state and dataset disagree on M")
     a, b, o = detection_counts(data, latent.perm)
-    dist2 = squared_distances(latent.s, data.traps)
-    sigma_rows = _sigma_vector(model, params, latent.u)
-    ll = _detection_loglik_rows(
-        model, params, dist2, a, b, o, data.n_occasions, sigma_rows
-    )
+    on = np.flatnonzero(latent.z == 1)
+    sigma = _per_trap(_sigma_rows(model, params, latent.u[on]))
+    kernel = _gaussian(squared_distances(latent.s[on], data.traps), sigma)
+    ll = detection_loglik(model, kernel, a[on], b[on], o[on], data.n_occasions, params)
     if model.has_sex_effect:
-        ll = ll + xlogy(latent.u, params.theta) + xlogy(1 - latent.u, 1.0 - params.theta)
-    captured = (a > 0).any(axis=1) | (b > 0).any(axis=1)
-    out = np.where(latent.z == 1, ll, 0.0)
+        ll = ll + _sex_loglik(latent.u[on], params.theta)
+    out = np.zeros(data.n_augmented)
+    out[on] = ll
+    captured = data.counts.a_any | b.any(axis=1)
     out[(latent.z == 0) & captured] = -np.inf
     if data.n_full:
         broken = latent.perm[: data.n_full] != np.arange(data.n_full)
@@ -466,19 +527,35 @@ def log_likelihood(
     return float(per.sum())
 
 
-def log_prior(model: ModelId, params: ModelParams, prior: PriorSpec) -> float:
-    """Log prior density of the active scalar parameters (independent uniforms)."""
+def log_prior(model: ModelId, params, prior: PriorSpec):
+    """Log prior density of the active scalar parameters (independent uniforms).
+
+    `params` is a `ModelParams` (returns a float) or a mapping of per-draw
+    arrays (returns one value per draw).
+    """
     model = ModelId(model)
-    total = 0.0
-    for name in active_param_names(model):
-        v = getattr(params, name)
-        if not np.isfinite(v):
-            return -math.inf
-        upper = prior.sigma_upper if name in _SCALE_PARAMS else 1.0
-        if not 0.0 < v < upper:
-            return -math.inf
-        total -= math.log(upper)
-    return total
+    upper = _scale_upper_bounds(model, prior)
+    vec = np.stack([np.asarray(params[k], dtype=float) for k in active_param_names(model)], -1)
+    inside = ((vec > 0.0) & (vec < upper)).all(axis=-1)  # NaN fails both tests
+    out = np.where(inside, -float(np.log(upper).sum()), -np.inf)
+    return float(out) if out.ndim == 0 else out
+
+
+def _latent_log_prior(model: ModelId, z, u, psi, theta, area: float):
+    """Log prior of (z, u, S, perm) for centres inside the state space.
+
+    z/u are (..., M) and psi/theta scalars or per-draw arrays broadcasting
+    against the leading axes.  xlogy keeps 0 log 0 = 0, so psi or theta on
+    the boundary give finite values whenever the state allows them.
+    """
+    m = z.shape[-1]
+    off = z == 0
+    n_off = off.sum(axis=-1)
+    out = xlogy(m - n_off, psi) + xlogy(n_off, 1.0 - psi)
+    if ModelId(model).has_sex_effect:
+        males_off = (off & (u == 1)).sum(axis=-1)
+        out = out + xlogy(males_off, theta) + xlogy(n_off - males_off, 1.0 - theta)
+    return out - m * math.log(area) - math.lgamma(m + 1)
 
 
 def log_latent_prior(
@@ -496,24 +573,14 @@ def log_latent_prior(
     detector-2 assignment is uniform over all M! permutations.
     """
     model = ModelId(model)
-    m = latent.z.shape[0]
-    psi = params.psi
-    if not np.isfinite(psi) or not 0.0 <= psi <= 1.0:
+    probs = (params.psi, params.theta) if model.has_sex_effect else (params.psi,)
+    if not all(0.0 <= v <= 1.0 for v in probs):  # NaN fails too
         return -math.inf
-    n_on = int(latent.z.sum())
-    total = float(xlogy(n_on, psi) + xlogy(m - n_on, 1.0 - psi))
-    if model.has_sex_effect:
-        theta = params.theta
-        if not np.isfinite(theta) or not 0.0 <= theta <= 1.0:
-            return -math.inf
-        u_off = latent.u[latent.z == 0]
-        n_male = int(u_off.sum())
-        total += float(xlogy(n_male, theta) + xlogy(u_off.size - n_male, 1.0 - theta))
     if not statespace.contains(latent.s).all():
         return -math.inf
-    total -= m * math.log(statespace.area)
-    total -= math.lgamma(m + 1)  # log M!
-    return total
+    return float(
+        _latent_log_prior(model, latent.z, latent.u, params.psi, params.theta, statespace.area)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +588,17 @@ def log_latent_prior(
 # ---------------------------------------------------------------------------
 
 
-def _logit(x: np.ndarray) -> np.ndarray:
+def _logit(x):
+    # scalars go through libm so the sampler's proposals do not depend on
+    # which SIMD log numpy dispatches to
+    if np.ndim(x) == 0:
+        return math.log(x) - math.log1p(-x)
     return np.log(x) - np.log1p(-x)
 
 
-def _sigmoid(v: np.ndarray) -> np.ndarray:
+def _sigmoid(v):
+    if np.ndim(v) == 0:  # libm, as in _logit
+        return 0.5 * (1.0 + math.tanh(0.5 * v))
     return 0.5 * (1.0 + np.tanh(0.5 * v))
 
 
@@ -555,16 +628,22 @@ def from_transformed(v: np.ndarray, model: ModelId, prior: PriorSpec) -> ModelPa
     return ModelParams.from_vector(model, _sigmoid(v) * upper)
 
 
-def transform_log_jacobian(v: np.ndarray, model: ModelId, prior: PriorSpec) -> float:
-    """log |d(params)/d(v)| at transformed coordinates v.
+def _log_jacobian_draws(v: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """log |d params / d v| of the unconstraining transform over v's last axis.
 
     Each coordinate contributes log(upper * sigmoid'(v)) with
     sigmoid'(v) = sigmoid(v) (1 - sigmoid(v)), evaluated stably.
     """
+    return float(np.log(upper).sum()) - (
+        np.logaddexp(0.0, v) + np.logaddexp(0.0, -v)
+    ).sum(axis=-1)
+
+
+def transform_log_jacobian(v: np.ndarray, model: ModelId, prior: PriorSpec) -> float:
+    """log |d(params)/d(v)| at transformed coordinates v."""
     model = ModelId(model)
     v = np.asarray(v, dtype=float)
     upper = _scale_upper_bounds(model, prior)
     if v.shape != upper.shape:
         raise ValueError(f"expected {upper.shape[0]} coordinates for {model}")
-    log_sig_prime = -(np.logaddexp(0.0, v) + np.logaddexp(0.0, -v))
-    return float(np.sum(np.log(upper) + log_sig_prime))
+    return float(_log_jacobian_draws(v, upper))

@@ -39,6 +39,7 @@ from secrsel.model import (
     StateSpace,
     TrapGrid,
     _scale_upper_bounds,
+    active_param_names,
     log_latent_prior,
     log_likelihood,
     log_prior,
@@ -47,7 +48,7 @@ from secrsel.model import (
     transform_log_jacobian,
 )
 
-from _oracles import brute_integrated_log_likelihood
+from _oracles import brute_integrated_log_likelihood, brute_log_likelihood
 
 ALL_MODELS = [ModelId.M1, ModelId.M2, ModelId.M3, ModelId.M4]
 
@@ -310,6 +311,40 @@ class TestVectorizedPieces:
                 transform_log_jacobian(v[d], model, chain.prior), abs=1e-12
             )
 
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_underflowing_kernel_matches_oracle(self, model):
+        # the second trap is so far away that exp(-d^2 / (2 sigma^2)) == 0.0
+        traps = TrapGrid(np.array([[0.0, 0.0], [200.0, 0.0]]))
+        assert np.exp(-(200.0**2) / (2 * 0.6**2)) == 0.0
+        space = StateSpace(-1.0, 2.0, -1.0, 2.0)
+        params = ModelParams(psi=0.4, theta=0.6, phi=0.7, omega0=0.25, p0=0.3,
+                             sigma=0.5, sigma_m=0.6, sigma_f=0.35)
+        latent = LatentState(z=np.array([1, 1, 0]), u=np.array([1, 0, 0]),
+                             s=np.array([[0.2, 0.1], [0.5, -0.3], [1.0, 1.0]]),
+                             perm=np.array([0, 2, 1]))
+        draws = {k: np.full(3, params[k]) for k in active_param_names(model)}
+        for far_capture in (0, 1):
+            y1 = np.zeros((3, 2, 2), dtype=np.uint8)
+            y2 = np.zeros((3, 2, 2), dtype=np.uint8)
+            y1[0, 0, 0] = y2[0, 0, 0] = y1[1, 0, 1] = y2[2, 0, 0] = 1  # row 2 is 1's
+            y1[1, 1, 0] = far_capture
+            data = CaptureDataset(y1, y2, 1, np.full(3, -1), traps, space)
+            want = brute_log_likelihood(
+                model.value, y1.tolist(), y2.tolist(), 1, latent.z.tolist(),
+                latent.u.tolist(), latent.s.tolist(), latent.perm.tolist(),
+                traps.locations.tolist(), {k: params[k] for k in active_param_names(model)}, 2,
+            )
+            got = [
+                per_individual_log_likelihood(model, data, params, latent).sum(),
+                log_likelihood(model, data, params, latent),
+                *plug_in_loglik_draws(model, data, latent, draws),
+            ]
+            if far_capture:
+                assert want == -math.inf and all(g == -math.inf for g in got)
+            else:
+                assert math.isfinite(want)
+                assert got == pytest.approx([want] * 5, rel=1e-12)
+
     def test_transformed_draws_match_scalar_transform(self, busy_chains):
         chain = busy_chains[ModelId.M1]
         v = transformed_param_draws(chain)
@@ -419,6 +454,20 @@ class TestMapRefine:
         assert matches.size > 0
         # stored loglik matches a fresh evaluation at the returned state
         assert est.loglik == log_likelihood(model, data, est.mu_p_hat, est.mu_s_hat)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_carried_sweep_is_a_fresh_sweep(self, model, busy_data, busy_chains):
+        import dataclasses
+
+        data, _ = busy_data
+        chain = busy_chains[model]
+        est = map_refine(chain, data)
+        fresh = plug_in_loglik_draws(model, data, est.mu_s_hat, chain.params)
+        assert np.array_equal(est.plug_in_loglik, fresh)
+        # gd_map reads the carried sweep only for the draws it was made over
+        copy = dataclasses.replace(chain, params=dict(chain.params))
+        kind = TuningKind("normal")
+        assert gd_map(chain, data, kind, est).value == gd_map(copy, data, kind, est).value
 
     def test_cross_pairing_beats_both_draws(self):
         data, good_latent, bad_latent, good_params, bad_params = _cross_pair_setup()

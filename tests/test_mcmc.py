@@ -74,6 +74,24 @@ class TestCacheConsistency:
         chain = fit(ModelId.M1, data, McmcConfig(n_iter=400, burn_in=100, seed=4))
         assert audit_chain(chain, data, fraction=0.1, rng=0) < 1e-8
 
+    @pytest.mark.parametrize("model", [ModelId.M1, ModelId.M2, ModelId.M3, ModelId.M4])
+    def test_audit_exact_on_every_draw(self, model, busy_data, busy_chains):
+        # the sampler and the model share one kernel, one set of counts and
+        # one prior, so a fresh evaluation reproduces every cached value
+        data, _ = busy_data
+        assert audit_chain(busy_chains[model], data, fraction=1.0) == 0.0
+
+    def test_audit_exact_where_pow_and_square_differ(self, busy_data):
+        # libm pow(sigma, 2) and sigma * sigma differ in the last bit here; the
+        # sampler refreshes its kernels from scalar and array sigmas alike
+        sigma = 0.49016607984370186
+        assert sigma**2 != np.square(np.array([sigma]))[0]
+        data, _ = busy_data
+        start = ModelParams(psi=0.5, phi=0.6, omega0=0.5, sigma=sigma)
+        cfg = McmcConfig(n_iter=50, burn_in=0, seed=1, sample_scalars=False, init_params=start)
+        chain = fit(ModelId.M3, data, cfg)
+        assert audit_chain(chain, data, fraction=1.0) == 0.0
+
 
 class TestInvariants:
     def test_forced_inclusions_and_links(self):
@@ -104,6 +122,15 @@ class TestInvariants:
             assert 0.01 < rate <= 1.0, (name, rate)
         for name in ("theta", "phi", "omega0", "sigma_m", "sigma_f"):
             assert chain.accept[name] < 0.95, name
+
+    def test_null_swaps_not_counted_as_perm_proposals(self, busy_data, busy_chains):
+        # every detector-2 row is empty, so no swap can change the likelihood
+        chain = fit(ModelId.M4, empty_dataset(), McmcConfig(n_iter=20, burn_in=0, seed=3))
+        assert "perm" not in chain.accept
+        # captured detector-2 rows that are all fully identified cannot move
+        data, _ = busy_data
+        assert data.counts.row_nonzero.any() and not data.counts.row_nonzero[data.n_full:].any()
+        assert busy_chains[ModelId.M4].accept["perm"] == 0.0
 
     def test_frozen_scalars(self):
         data = empty_dataset()
