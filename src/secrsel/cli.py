@@ -52,7 +52,6 @@ from .simulate import (
 from .study import (
     MODEL_ORDER,
     ToolId,
-    derive_seed,
     run_study,
     score_tools,
 )
@@ -341,15 +340,7 @@ def cmd_select(args) -> int:
     if missing:
         raise DataError(f"need one chain per model; missing {', '.join(missing)}")
     tools = _parse_tools(args.tools)
-    ppl_seeds = None
-    if any(t is ToolId.PPL for t in tools):
-        seed = _ensure_seed(args.seed)
-        ppl_seeds = {m: derive_seed(seed, "ppl", m.value) for m in MODEL_ORDER}
-    else:
-        seed = args.seed if args.seed is not None else 0
-    result = score_tools(
-        data, chains, tools, ppl_seeds=ppl_seeds, grid_resolution=args.resolution
-    )
+    result = score_tools(data, chains, tools, grid_resolution=args.resolution)
     rows = []
     for tool in tools:
         per_model = result.scores[tool.value]
@@ -371,7 +362,7 @@ def cmd_select(args) -> int:
     write_manifest(
         out,
         subcommand="select",
-        seed=seed,
+        seed=args.seed if args.seed is not None else 0,
         inputs=[args.data] + list(args.chains),
         outputs=["scores.csv"],
         wall_time_s=time.perf_counter() - t0,
@@ -541,7 +532,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--resolution", type=float,
                    help="integration grid resolution for the IL estimators")
     p.add_argument("--seed", type=int,
-                   help="seed for predictive-loss replicates (generated if needed)")
+                   help="seed recorded in the manifest (default 0); scoring draws "
+                        "no random numbers")
     p.add_argument("--no-verify", action="store_true",
                    help="skip manifest-based dataset/chain consistency checks")
     p.add_argument("--out", required=True, help="output directory")

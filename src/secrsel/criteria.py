@@ -11,10 +11,11 @@ better":
   posterior-mean per-individual likelihoods, plus twice a penalty measured
   per individual by the log-mean/mean-log gap (1), the variance of the
   log-likelihood (2), or twice its mean absolute deviation (3).
-* ``posterior_predictive_loss`` -- one replicate dataset per retained draw;
-  the loss is the squared distance between data and replicate means plus the
-  total replicate variance, summed over every binary cell of both capture
-  lists.
+* ``posterior_predictive_loss`` -- Gelfand and Ghosh's D-infinity: the
+  squared distance between the data and each binary cell's posterior
+  predictive mean plus that cell's predictive variance, summed over every
+  cell of both capture lists.  The means come exactly from each draw's cell
+  probabilities, so no replicate data are simulated.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from scipy.special import logsumexp
 from .errors import NumericalError
 from .marglik import MapEstimate
 from .mcmc import Chain
-from .model import CaptureDataset
-from .simulate import simulate_histories
+from .model import CaptureDataset, _gaussian, _per_trap, _sigma_rows, squared_distances
 
 VARIANTS = ("DIC1", "DIC2", "WAIC1", "WAIC2", "WAIC3", "PPL")
 
@@ -40,7 +40,7 @@ class CriterionResult:
 
     ``value = fit_term + penalty``; the penalty holds the full additive
     complexity term (twice the effective parameter count for DIC/WAIC, the
-    total replicate variance for the predictive loss).
+    predictive variance K sum mu (1 - mu) for the predictive loss).
     """
 
     criterion: str
@@ -101,37 +101,44 @@ def waic(chain: Chain, variant: int = 1) -> CriterionResult:
 
 
 def posterior_predictive_loss(
-    chain: Chain, data: CaptureDataset, seed: int = 0
+    chain: Chain, data: CaptureDataset, *, seed: int | None = None
 ) -> CriterionResult:
-    """Squared-error posterior predictive loss over all binary capture cells.
+    """Squared-error posterior predictive loss D-infinity over all binary capture cells.
 
-    Simulates one replicate pair of capture lists per retained draw, at that
-    draw's scalars and latent state.  Writing q for the per-cell replicate
-    mean, the loss is ``sum (y - q)^2 + sum q (1 - q)`` over the 2 M J K
-    cells of both lists (the variance term uses the population form, exact
-    for binary replicates).
+    Under both detection processes a cell (row, trap, occasion) of either list
+    is Bernoulli with a probability q that is constant over the K occasions:
+    z omega0 k phi under trap entry, z p0 k under direct detection, with k the
+    half-normal kernel; row b of the detector-2 list takes q of its owner
+    perm[b].  With mu the posterior mean of q over the draws and c the count
+    of a (row, trap) pair over the occasions, the loss over both lists is
+
+        fit     = sum_cells (y - mu)^2  = sum_(row, trap) c (1 - mu)^2 + (K - c) mu^2
+        penalty = sum_cells mu (1 - mu) = K sum_(row, trap) mu (1 - mu)
+
+    (Gelfand & Ghosh 1998, Biometrika 85:1-11): the expectation of the loss
+    estimated from one simulated replicate per draw.  Memory is O(M J): each
+    draw adds its included rows' probabilities to the two running sums.
+    `seed` is accepted for older callers and ignored; nothing is random.
     """
     if chain.n_draws == 0:
         raise ValueError("cannot compute predictive loss from an empty chain")
-    rng = np.random.default_rng(seed)
-    count1 = np.zeros(data.y1.shape, dtype=np.int64)
-    count2 = np.zeros(data.y2.shape, dtype=np.int64)
+    model = chain.model
+    m = data.n_augmented
+    sum1 = np.zeros((m, data.n_traps))  # by individual, as y1
+    sum2 = np.zeros((m, data.n_traps))  # by detector-2 row, as y2
+    base = chain.params["omega0"] * chain.params["phi"] if model.has_trap_entry else chain.params["p0"]
+    rows, row_of = np.arange(m), np.empty(m, dtype=np.int64)
     for d in range(chain.n_draws):
-        rep1, rep2 = simulate_histories(
-            chain.model,
-            chain.params_at(d),
-            chain.z[d],
-            chain.u[d],
-            chain.s[d],
-            chain.perm[d].astype(np.int64),
-            data.traps,
-            data.n_occasions,
-            rng,
-        )
-        count1 += rep1
-        count2 += rep2
-    mean1 = count1 / chain.n_draws
-    mean2 = count2 / chain.n_draws
-    fit = float(((data.y1 - mean1) ** 2).sum() + ((data.y2 - mean2) ** 2).sum())
-    penalty = float((mean1 * (1.0 - mean1)).sum() + (mean2 * (1.0 - mean2)).sum())
+        on = np.flatnonzero(chain.z[d] == 1)
+        sigma = _per_trap(_sigma_rows(model, chain.params_at(d), chain.u[d, on]))
+        q = base[d] * _gaussian(squared_distances(chain.s[d, on], data.traps), sigma)
+        sum1[on] += q
+        row_of[chain.perm[d]] = rows
+        sum2[row_of[on]] += q
+    k = data.n_occasions
+    fit = penalty = 0.0
+    for total, count in ((sum1, data.counts.a), (sum2, data.counts.b_rows)):
+        mu = total / chain.n_draws
+        fit += float((count * (1.0 - mu) ** 2 + (k - count) * mu**2).sum())
+        penalty += k * float((mu * (1.0 - mu)).sum())
     return CriterionResult("PPL", fit + penalty, fit, penalty)

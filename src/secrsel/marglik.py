@@ -43,6 +43,7 @@ from .model import (
     _latent_log_prior,
     _log_jacobian_draws,
     _logit,
+    _per_individual,
     _per_trap,
     _phi_terms,
     _sigma_rows,
@@ -406,13 +407,19 @@ class MapEstimate:
 
 
 def _joint_at_latents(chain: Chain, data: CaptureDataset, params: ModelParams) -> np.ndarray:
-    """Joint log posterior of (fixed scalars, each draw's latent state)."""
+    """Joint log posterior of (fixed scalars, each draw's latent state).
+
+    The scalars are checked once; each draw's likelihood is that of
+    `log_likelihood` without re-checking the chain's own states.
+    """
     model = chain.model
+    params.validate(model)
     vals = _latent_log_prior(
         model, chain.z, chain.u, params.psi, params.theta, data.statespace.area
     ) + log_prior(model, params, chain.prior)
     for d in range(chain.n_draws):
-        vals[d] += log_likelihood(model, data, params, chain.latent_at(d))
+        per = _per_individual(model, data, params, chain.z[d], chain.u[d], chain.s[d], chain.perm[d])
+        vals[d] += float(per.sum())
     return vals
 
 

@@ -498,21 +498,32 @@ def per_individual_log_likelihood(
     params.validate(model)
     if latent.z.shape[0] != data.n_augmented:
         raise ValueError("latent state and dataset disagree on M")
-    a, b, o = detection_counts(data, latent.perm)
-    on = np.flatnonzero(latent.z == 1)
-    sigma = _per_trap(_sigma_rows(model, params, latent.u[on]))
-    kernel = _gaussian(squared_distances(latent.s[on], data.traps), sigma)
+    _check_permutation(latent.perm, data.n_augmented)
+    return _per_individual(model, data, params, latent.z, latent.u, latent.s, latent.perm)
+
+
+def _per_individual(model: ModelId, data: CaptureDataset, params, z, u, s, perm) -> np.ndarray:
+    """`per_individual_log_likelihood` of one state given as unchecked arrays.
+
+    For callers that check the scalars once and evaluate many states of a
+    chain, whose rows are valid by construction (perm a permutation).
+    """
+    a = data.counts.a
+    b, o = data.counts.linked(perm)
+    on = np.flatnonzero(z == 1)
+    sigma = _per_trap(_sigma_rows(model, params, u[on]))
+    kernel = _gaussian(squared_distances(s[on], data.traps), sigma)
     ll = detection_loglik(model, kernel, a[on], b[on], o[on], data.n_occasions, params)
     if model.has_sex_effect:
-        ll = ll + _sex_loglik(latent.u[on], params.theta)
+        ll = ll + _sex_loglik(u[on], params.theta)
     out = np.zeros(data.n_augmented)
     out[on] = ll
     captured = data.counts.a_any | b.any(axis=1)
-    out[(latent.z == 0) & captured] = -np.inf
+    out[(z == 0) & captured] = -np.inf
     if data.n_full:
-        broken = latent.perm[: data.n_full] != np.arange(data.n_full)
+        broken = perm[: data.n_full] != np.arange(data.n_full)
         if broken.any():
-            out[latent.perm[: data.n_full][broken]] = -np.inf
+            out[perm[: data.n_full][broken]] = -np.inf
     return out
 
 

@@ -215,9 +215,8 @@ def simulate_histories(
     """Draw one pair of capture lists from `model` at a full latent state.
 
     Returns (y1, y2) in dataset layout: y1 rows follow individual indices and
-    y2 row b holds the detector-2 history of individual perm[b].  Used both
-    for posterior-predictive replicates and (via the sex-effect trap-entry
-    model) for data simulation.
+    y2 row b holds the detector-2 history of individual perm[b].  Data
+    simulation uses it with the sex-effect trap-entry model.
     """
     model = ModelId(model)
     m = z.shape[0]

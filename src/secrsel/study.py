@@ -13,7 +13,6 @@ textual path with a keyed hash, so any cell can be rerun in isolation:
 
 * dataset:  ``derive_seed(master, "dataset", scenario_id, replicate)``
 * chain:    ``derive_seed(master, "chain", scenario_id, replicate, model)``
-* PPL tool: ``derive_seed(master, "tool", scenario_id, replicate, "ppl", model)``
 """
 
 from __future__ import annotations
@@ -326,6 +325,8 @@ class StudyConfig:
         lines.append(f"grid_resolution {self.grid_resolution!r}")
         lines.append(f"sex_obs {self.sex_obs}")
         lines.append("tools " + " ".join(t.value for t in self.tools))
+        # estimator version: refuses cells scored by the replicate-based PPL
+        lines.append("ppl exact")
         m = self.mcmc
         lines.append(f"mcmc n_iter {m.n_iter} burn_in {m.burn_in}")
         lines.append(f"mcmc sigma_upper {m.prior.sigma_upper!r}")
@@ -448,7 +449,6 @@ def score_tools(
     data: CaptureDataset,
     chains: Mapping[ModelId, Chain],
     tools: Sequence[ToolId],
-    ppl_seeds: Mapping[ModelId, int] | None = None,
     grid_resolution: float | None = None,
 ) -> ToolScores:
     """Score every requested tool on the four fitted chains and select.
@@ -463,8 +463,6 @@ def score_tools(
     if missing:
         raise ValueError(f"chains missing for models: {missing}")
     families = {t.family for t in tools}
-    if "ppl" in families and ppl_seeds is None:
-        raise ValueError("posterior predictive loss requires ppl_seeds per model")
     need_map = bool(families & {"gd_map", "dic"})
     need_il = "gd_il" in families
 
@@ -532,7 +530,7 @@ def score_tools(
                     criteria_rows.append(_criterion_row(model, res))
                     value = res.value
                 else:  # ppl
-                    res = posterior_predictive_loss(chain, data, seed=ppl_seeds[model])
+                    res = posterior_predictive_loss(chain, data)
                     criteria_rows.append(_criterion_row(model, res))
                     value = res.value
             except Exception as exc:
@@ -588,16 +586,7 @@ def evaluate_cell(config: StudyConfig, scenario: Scenario, replicate: int) -> Ce
                 scenario, replicate, ds_seed, f"fit {model.value}: {exc}", t0
             )
 
-    tool_scores = score_tools(
-        data,
-        chains,
-        config.tools,
-        ppl_seeds={
-            m: derive_seed(master, "tool", sid, replicate, "ppl", m.value)
-            for m in MODEL_ORDER
-        },
-        grid_resolution=config.grid_resolution,
-    )
+    tool_scores = score_tools(data, chains, config.tools, grid_resolution=config.grid_resolution)
 
     mse: dict[str, dict[str, float]] = {}
     summaries: dict[str, dict[str, list[float]]] = {}

@@ -2,11 +2,16 @@
 
 Everything here is deliberately written with plain Python scalars and loops,
 term by term from the model definitions, sharing no code with the package.
-Slow and obvious beats fast and clever for an oracle.
+Slow and obvious beats fast and clever for an oracle.  The one exception is
+`replicate_ppl`, which draws replicate data with the package's simulator.
 """
 
 import math
 from itertools import permutations, product
+
+import numpy as np
+
+from secrsel.simulate import simulate_histories
 
 NEG_INF = float("-inf")
 
@@ -168,3 +173,28 @@ def enumerate_joint_posterior(model, y1, y2, n_full, traps, params, n_occ, cells
                 weights[(zs, perm)] = acc
     norm = sum(weights.values())
     return {k: v / norm for k, v in weights.items()}
+
+
+def replicate_ppl(chain, data, rng):
+    """Posterior predictive loss estimated from one replicate dataset per draw.
+
+    Simulates both capture lists at every draw's scalars and latent state;
+    with r the per-cell replicate mean the estimate is
+    sum (y - r)^2 + r (1 - r) over every binary cell of both lists.  It is
+    linear in r, so its expectation is the exact loss of the posterior
+    predictive means.
+    """
+    count1 = np.zeros(data.y1.shape)
+    count2 = np.zeros(data.y2.shape)
+    for d in range(chain.n_draws):
+        rep1, rep2 = simulate_histories(
+            chain.model, chain.params_at(d), chain.z[d], chain.u[d], chain.s[d],
+            chain.perm[d].astype(np.int64), data.traps, data.n_occasions, rng,
+        )
+        count1 += rep1
+        count2 += rep2
+    total = 0.0
+    for y, count in ((data.y1, count1), (data.y2, count2)):
+        r = count / chain.n_draws
+        total += float(((y - r) ** 2 + r * (1.0 - r)).sum())
+    return total

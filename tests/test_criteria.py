@@ -19,6 +19,8 @@ from secrsel.model import (
     TrapGrid,
 )
 
+from _oracles import replicate_ppl
+
 ALL_MODELS = [ModelId.M1, ModelId.M2, ModelId.M3, ModelId.M4]
 
 
@@ -164,22 +166,63 @@ class TestPosteriorPredictiveLoss:
         # all-empty data exactly
         data = self._empty_data()
         chain = _bare_chain(np.zeros(8), m=data.n_augmented)
-        res = posterior_predictive_loss(chain, data, seed=4)
+        res = posterior_predictive_loss(chain, data)
         assert res.value == 0.0 and res.fit_term == 0.0 and res.penalty == 0.0
 
     def test_seed_reproducibility(self, busy_data, busy_chains):
+        # the loss is exact: deterministic, and the mean of the estimate from
+        # one simulated replicate per draw (within 4 of its standard errors)
         data, _ = busy_data
-        chain = busy_chains[ModelId.M4]
-        a = posterior_predictive_loss(chain, data, seed=9)
-        b = posterior_predictive_loss(chain, data, seed=9)
-        c = posterior_predictive_loss(chain, data, seed=10)
-        assert a == b
-        assert a.value != c.value
+        rng = np.random.default_rng(2024)
+        for model in (ModelId.M1, ModelId.M4):  # trap entry, direct detection
+            chain = busy_chains[model]
+            exact = posterior_predictive_loss(chain, data)
+            assert posterior_predictive_loss(chain, data) == exact
+            estimates = np.array([replicate_ppl(chain, data, rng) for _ in range(20)])
+            se = estimates.std(ddof=1) / math.sqrt(estimates.size)
+            assert abs(estimates.mean() - exact.value) <= 4.0 * se, (model, exact.value, estimates.mean(), se)
+
+    @pytest.mark.parametrize("model", [ModelId.M3, ModelId.M4])
+    def test_detector2_rows_follow_their_owners(self, model):
+        # two individuals on one trap, owners of detector-2 rows swapped in
+        # both draws; the mean baseline is 0.5 over the two draws
+        k, sigma = 4, 0.5
+        q = (0.5, 0.5 * math.exp(-0.5))  # centred on the trap; one sigma away
+        data = CaptureDataset(
+            y1=np.array([[[1, 1, 0, 0]], [[0, 0, 0, 0]]], np.uint8),
+            y2=np.array([[[0, 1, 0, 0]], [[1, 1, 1, 0]]], np.uint8),
+            n_full=0, u_obs=np.full(2, -1, np.int8),
+            traps=TrapGrid(np.array([[1.0, 1.0]])), statespace=StateSpace(0.0, 2.0, 0.0, 2.0),
+        )
+        if model is ModelId.M3:
+            params = {"psi": [0.9, 0.9], "phi": [0.8, 0.8], "omega0": [0.5, 0.75], "sigma": [sigma, sigma]}
+        else:
+            params = {"psi": [0.9, 0.9], "p0": [0.4, 0.6], "sigma": [sigma, sigma]}
+        chain = Chain(
+            model=model, prior=PriorSpec(), seed=0, n_iter=2, burn_in=0,
+            params={name: np.array(v) for name, v in params.items()},
+            z=np.ones((2, 2), np.uint8), u=np.zeros((2, 2), np.uint8),
+            s=np.tile([[1.0, 1.0], [1.0 + sigma, 1.0]], (2, 1, 1)),
+            perm=np.array([[1, 0], [1, 0]], np.int32),
+            loglik=np.zeros(2), logprior=np.zeros(2), perind=np.zeros((2, 2)), accept={},
+        )
+
+        def sq_err(c, mu):  # sum over k occasions of (y - mu)^2 with c ones
+            return c * (1 - mu) ** 2 + (k - c) * mu**2
+
+        # y1 rows are individuals 0 and 1; y2 row 0 belongs to 1, row 1 to 0
+        want_fit = sq_err(2, q[0]) + sq_err(0, q[1]) + sq_err(1, q[1]) + sq_err(3, q[0])
+        want_penalty = 2 * k * (q[0] * (1 - q[0]) + q[1] * (1 - q[1]))
+        res = posterior_predictive_loss(chain, data)
+        assert res.fit_term == pytest.approx(want_fit, rel=1e-14)
+        assert res.penalty == pytest.approx(want_penalty, rel=1e-14)
+        unrouted = sq_err(2, q[0]) + sq_err(0, q[1]) + sq_err(1, q[0]) + sq_err(3, q[1])
+        assert abs(res.fit_term - unrouted) > 0.1
 
     def test_value_structure(self, busy_data, busy_chains):
         data, _ = busy_data
         chain = busy_chains[ModelId.M1]
-        res = posterior_predictive_loss(chain, data, seed=1)
+        res = posterior_predictive_loss(chain, data)
         assert res.value == pytest.approx(res.fit_term + res.penalty, abs=1e-9)
         assert res.penalty >= 0.0 and res.fit_term >= 0.0
 
@@ -202,7 +245,7 @@ class TestOnRealChains:
             waic(chain, 1),
             waic(chain, 2),
             waic(chain, 3),
-            posterior_predictive_loss(chain, data, seed=0),
+            posterior_predictive_loss(chain, data),
         ]
         names = [r.criterion for r in results]
         assert names == ["DIC1", "DIC2", "WAIC1", "WAIC2", "WAIC3", "PPL"]

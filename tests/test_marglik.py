@@ -14,6 +14,7 @@ from secrsel.marglik import (
     MapEstimate,
     PRIOR_TUNING,
     TuningKind,
+    _joint_at_latents,
     _latent_log_prior_draws,
     _log_jacobian_draws,
     bayes_factor,
@@ -38,6 +39,7 @@ from secrsel.model import (
     PriorSpec,
     StateSpace,
     TrapGrid,
+    _latent_log_prior,
     _scale_upper_bounds,
     active_param_names,
     log_latent_prior,
@@ -468,6 +470,26 @@ class TestMapRefine:
         copy = dataclasses.replace(chain, params=dict(chain.params))
         kind = TuningKind("normal")
         assert gd_map(chain, data, kind, est).value == gd_map(copy, data, kind, est).value
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_joint_at_latents_is_per_draw_log_likelihood(self, model, busy_data, busy_chains):
+        import dataclasses
+
+        data, _ = busy_data
+        chain = busy_chains[model]
+        z, perm = chain.z.copy(), chain.perm.copy()
+        z[1, np.flatnonzero(data.y1.any(axis=(1, 2)))[0]] = 0  # a captured row excluded
+        perm[2, [0, data.n_full]] = perm[2, [data.n_full, 0]]  # a linked row unpinned
+        chain = dataclasses.replace(chain, z=z, perm=perm)
+        params = chain.params_at(7)
+        want = _latent_log_prior(
+            model, chain.z, chain.u, params.psi, params.theta, data.statespace.area
+        ) + log_prior(model, params, chain.prior)
+        for d in range(chain.n_draws):
+            want[d] += log_likelihood(model, data, params, chain.latent_at(d))
+        got = _joint_at_latents(chain, data, params)
+        assert np.isneginf(got[1]) and np.isneginf(got[2])
+        assert np.array_equal(got, want)
 
     def test_cross_pairing_beats_both_draws(self):
         data, good_latent, bad_latent, good_params, bad_params = _cross_pair_setup()

@@ -1,5 +1,6 @@
 """Study orchestration: tools, seeds, selection, aggregation, checkpoints."""
 
+import hashlib
 import json
 import math
 import shutil
@@ -307,6 +308,24 @@ class TestRunStudy:
         with pytest.raises(DataError, match="different study configuration"):
             run_study(mini_design(), MINI_SCENARIOS, 2, MINI_MCMC, seed=43,
                       out_dir=stale)
+
+    def test_checkpoint_of_replicate_ppl_rejected(self, mini_study, tmp_path):
+        # cells scored before the exact predictive loss carry the fingerprint
+        # of the same settings without the estimator line
+        _, first = mini_study
+        config = StudyConfig(mini_design(), MINI_SCENARIOS, 2, MINI_MCMC, 42)
+        text = config.fingerprint_text()
+        assert "ppl exact\n" in text
+        old = hashlib.blake2b(text.replace("ppl exact\n", "").encode(), digest_size=16).hexdigest()
+        stale = tmp_path / "stale"
+        (stale / "checkpoints").mkdir(parents=True)
+        for path in (first / "checkpoints").glob("*.json"):
+            record = json.loads(path.read_text())
+            assert record["fingerprint"] == config.fingerprint()
+            record["fingerprint"] = old
+            (stale / "checkpoints" / path.name).write_text(json.dumps(record))
+        with pytest.raises(DataError, match="different study configuration"):
+            run_mini(stale)
 
     def test_worker_pool_matches_sequential(self, mini_study):
         results, _ = mini_study
