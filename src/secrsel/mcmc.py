@@ -15,12 +15,23 @@ Update sweep per iteration:
 6. a sweep of 2M random transpositions of the detector-2 assignment among
    the non-fully-identified rows.
 
-The sampler keeps per-row detection log-likelihood caches (and, for sex
-models, Gaussian kernels under both sexes) so that most updates are cheap
-arithmetic; caches are refreshed from scratch at the end of every iteration,
-which keeps the recorded values bit-equal to a fresh evaluation: detection
-terms, linked counts and log priors come from `model` (`detection_loglik`,
-`CaptureDataset.counts`, `log_prior`, `_latent_log_prior`), as in `audit_chain`.
+The sampler caches, per row, squared trap distances, Gaussian kernels (under
+both sexes for sex models) and the detection log-likelihood, so that most
+updates are cheap arithmetic.  Between two z updates only included rows
+(z = 1) enter any acceptance ratio, so every block but the z update reads and
+writes the caches of included rows only, and the detection terms of included
+rows are refreshed from scratch at the end of every iteration.  Excluded rows
+are all uncaptured (captured rows always stay included), their centre moves
+have an acceptance ratio of exactly 1, and the rest of their caches are stale
+until the z update, which recomputes their distances, kernels and detection
+terms from the current centres and scalars with the zero-count closed form
+`detection_loglik_uncaptured`.  That form equals `detection_loglik` at
+a = b = o = 0 bit for bit, and every cache is an element-wise or per-row
+function of its inputs, so the z update sees the same values as if all rows
+had been kept up to date, and the recorded values are bit-equal to a fresh
+evaluation: detection terms, linked counts and log priors come from `model`
+(`detection_loglik`, `CaptureDataset.counts`, `log_prior`,
+`_latent_log_prior`), as in `audit_chain`.
 
 Validation knobs in `McmcConfig` (`flat_likelihood`, `s_grid`,
 `sample_scalars`) exist so tests can compare the sampler against exact
@@ -47,6 +58,7 @@ from .model import (
     _sigmoid,
     active_param_names,
     detection_loglik,
+    detection_loglik_uncaptured,
     log_latent_prior,
     log_prior,
     per_individual_log_likelihood,
@@ -191,7 +203,12 @@ class _Sampler:
         self.n_prop["perm"] = self.n_acc["perm"] = 0
 
         self._init_state(config)
-        self._refresh_caches()
+        self.on = np.flatnonzero(self.z == 1)
+        self.kernels = _gaussian(self.dist2[None, :, :], self._sigma_values()[:, None, None])
+        self.det = np.zeros(self.m)  # excluded rows' terms wait for the z update
+        if not self.flat:
+            self._refresh_included()
+        self._refresh_sexterm()
 
     # -- initialisation ----------------------------------------------------
 
@@ -285,39 +302,44 @@ class _Sampler:
             return np.array([self.params["sigma_f"], self.params["sigma_m"]])
         return np.array([self.params["sigma"]])
 
-    def _refresh_kernels(self):
-        sig = self._sigma_values()
-        self.kernels = _gaussian(self.dist2[None, :, :], sig[:, None, None])
-
-    def _current_kernel(self) -> np.ndarray:
+    def _kernel(self, rows) -> np.ndarray:
+        """Cached kernels of `rows` (an index array) under their current sexes."""
         if self.sex:
-            return self.kernels[self.u.astype(np.int64), np.arange(self.m)]
-        return self.kernels[0]
+            return self.kernels[self.u[rows], rows]
+        return self.kernels[0, rows]
 
-    def _det(self, kernel, rows=slice(None), params=None) -> np.ndarray:
+    def _det(self, kernel, rows, params=None) -> np.ndarray:
         """Detection log-likelihood of `rows` under the current linked counts."""
         params = self.params if params is None else params
         return detection_loglik(
             self.model, kernel, self.a[rows], self.bs[rows], self.os[rows], self.k_occ, params
         )
 
-    def _refresh_det(self):
-        self.det = np.zeros(self.m) if self.flat else self._det(self._current_kernel())
+    def _refresh_included(self):
+        """Recompute the detection terms of included rows from the caches."""
+        on = self.on
+        self.det[on] = self._det(self._kernel(on), on)
 
-    def _refresh_caches(self):
-        self._refresh_kernels()
-        self._refresh_det()
-        self._refresh_sexterm()
+    def _refresh_excluded(self):
+        """Bring distances, kernels and detection terms of excluded rows up to date.
+
+        Captured rows always stay included, so every excluded row has zero
+        counts and takes the closed form.
+        """
+        off = np.flatnonzero(self.z == 0)
+        self.dist2[off] = squared_distances(self.s[off], self.data.traps)
+        self.kernels[:, off] = _gaussian(
+            self.dist2[off][None, :, :], self._sigma_values()[:, None, None]
+        )
+        self.det[off] = detection_loglik_uncaptured(
+            self.model, self._kernel(off), self.k_occ, self.params
+        )
 
     def _refresh_sexterm(self):
         if self.sex:
             self.sexterm = _sex_loglik(self.u, self.params["theta"])
         else:
             self.sexterm = np.zeros(self.m)
-
-    def _total_loglik(self) -> float:
-        on = self.z == 1
-        return float((self.det[on] + self.sexterm[on]).sum())
 
     # -- scalar updates ------------------------------------------------------
 
@@ -348,16 +370,16 @@ class _Sampler:
         else:
             prop = dict(self.params)
             prop[name] = new
-            on = self.z == 1
+            rows = self.on
             if name in self.scale_names:
+                sex_idx = 1 if name == "sigma_m" else 0
                 if self.sex:
-                    sex_idx = 1 if name == "sigma_m" else 0
-                    on = on & (self.u == sex_idx)
-                kern = _gaussian(self.dist2[on], new)
+                    rows = rows[self.u[rows] == sex_idx]
+                kern = _gaussian(self.dist2[rows], new)
             else:
-                kern = self._current_kernel()[on]
-            det_new = self._det(kern, on, prop)
-            delta = float(det_new.sum() - self.det[on].sum())
+                kern = self._kernel(rows)
+            det_new = self._det(kern, rows, prop)
+            delta = float(det_new.sum() - self.det[rows].sum())
 
         # uniform prior densities cancel; the jacobian of the logit walk stays
         log_jac = (
@@ -370,15 +392,11 @@ class _Sampler:
             if name == "theta":
                 self._refresh_sexterm()
             elif not self.flat:
+                # the proposal evaluated every detection term that changes;
+                # a sex's kernels are kept for included rows of both sexes
                 if name in self.scale_names:
-                    if self.sex:
-                        sex_idx = 1 if name == "sigma_m" else 0
-                        self.kernels[sex_idx] = _gaussian(self.dist2, new)
-                        rows = self.u == sex_idx
-                        self.det[rows] = self._det(self.kernels[sex_idx, rows], rows)
-                        return
-                    self._refresh_kernels()
-                self._refresh_det()
+                    self.kernels[sex_idx, self.on] = _gaussian(self.dist2[self.on], new)
+                self.det[rows] = det_new
 
     # -- latent updates -------------------------------------------------------
 
@@ -386,9 +404,12 @@ class _Sampler:
         free = ~self.captured
         if not free.any():
             return
+        if not self.flat:
+            self._refresh_excluded()
         lo = _logit(self.params["psi"])
         p_on = _sigmoid(lo + self.det[free])
         self.z[free] = (self.rng.random(int(free.sum())) < p_on).astype(np.int8)
+        self.on = np.flatnonzero(self.z == 1)
 
     def _update_u(self):
         if not self.sex:
@@ -402,14 +423,18 @@ class _Sampler:
             self.u[idx] = (self.rng.random(idx.size) < th).astype(np.int8)
             self._refresh_sexterm()
             return
-        det_f = self._det(self.kernels[0, idx], idx)
-        det_m = self._det(self.kernels[1, idx], idx)
+        # excluded rows draw their sex from the prior
         on = self.z[idx] == 1
-        w_m = math.log(th) + np.where(on, det_m, 0.0)
-        w_f = math.log1p(-th) + np.where(on, det_f, 0.0)
+        rows = idx[on]
+        det_f = np.zeros(idx.size)
+        det_m = np.zeros(idx.size)
+        det_f[on] = self._det(self.kernels[0, rows], rows)
+        det_m[on] = self._det(self.kernels[1, rows], rows)
+        w_m = math.log(th) + det_m
+        w_f = math.log1p(-th) + det_f
         pick_m = self.rng.random(idx.size) < _sigmoid(w_m - w_f)
         self.u[idx] = pick_m.astype(np.int8)
-        self.det[idx] = np.where(pick_m, det_m, det_f)
+        self.det[rows] = np.where(pick_m[on], det_m[on], det_f[on])
         self._refresh_sexterm()
 
     def _update_s(self):
@@ -426,29 +451,27 @@ class _Sampler:
                     _reflect(self.s[:, 1] + step[:, 1], self.space.y_min, self.space.y_max),
                 ]
             )
-        d2_new = squared_distances(s_new, self.data.traps)
         if self.flat:
             accept = np.ones(m, dtype=bool)
-            det_new = self.det
         else:
+            on = self.on
+            d2_new = squared_distances(s_new[on], self.data.traps)
             sig = self._sigma_values()
-            if self.sex:
-                sig_rows = sig[self.u.astype(np.int64)]
-            else:
-                sig_rows = np.full(m, sig[0])
-            kern_new = _gaussian(d2_new, sig_rows[:, None])
-            det_new = self._det(kern_new)
-            delta = np.where(self.z == 1, det_new - self.det, 0.0)
+            sig_rows = sig[self.u[on], None] if self.sex else sig[0]
+            det_new = self._det(_gaussian(d2_new, sig_rows), on)
+            # an excluded row's term is not in the target: its ratio is 1
+            delta = np.zeros(m)
+            delta[on] = det_new - self.det[on]
             accept = np.log(self.rng.random(m)) < delta
         self.n_acc["s"] += int(accept.sum())
         if not accept.any():
             return
         self.s[accept] = s_new[accept]
-        self.dist2[accept] = d2_new[accept]
         if not self.flat:
-            self.det[accept] = det_new[accept]
-            rows = np.flatnonzero(accept)
-            sig = self._sigma_values()
+            hit = accept[on]
+            rows = on[hit]
+            self.dist2[rows] = d2_new[hit]
+            self.det[rows] = det_new[hit]
             for c in range(sig.shape[0]):
                 self.kernels[c, rows] = _gaussian(self.dist2[rows], sig[c])
 
@@ -468,13 +491,16 @@ class _Sampler:
         # uniform over distinct partners
         offset = self.rng.integers(1, n_elig, n_prop)
         second = n_full + (first - n_full + offset) % n_elig
-        perm = self.perm
-        inv = self.inv
-        nz = self.row_nonzero
+        # most proposals are null swaps: run the sweep on Python lists and
+        # write the assignment back once
+        perm = self.perm.tolist()
+        inv = self.inv.tolist()
+        nz = self.row_nonzero.tolist()
+        a_any = self.a_any.tolist()
+        z = self.z.tolist()
+        det = self.det
         n_acc = n_null = 0
-        for t in range(n_prop):
-            b1 = int(first[t])
-            b2 = int(second[t])
+        for b1, b2 in zip(first.tolist(), second.tolist()):
             if not (nz[b1] or nz[b2]):
                 # swapping two all-zero rows changes nothing measurable, so it
                 # is applied but counts as neither proposed nor accepted
@@ -483,25 +509,24 @@ class _Sampler:
                 inv[i1], inv[i2] = b2, b1
                 n_null += 1
                 continue
-            i1 = int(perm[b1])
-            i2 = int(perm[b2])
-            cap1_new = self.a_any[i1] or nz[b2]
-            cap2_new = self.a_any[i2] or nz[b1]
-            if (self.z[i1] == 0 and cap1_new) or (self.z[i2] == 0 and cap2_new):
+            i1 = perm[b1]
+            i2 = perm[b2]
+            cap1_new = a_any[i1] or nz[b2]
+            cap2_new = a_any[i2] or nz[b1]
+            if (z[i1] == 0 and cap1_new) or (z[i2] == 0 and cap2_new):
                 continue  # an excluded individual cannot receive captures
-            if self.flat:
-                delta = 0.0
-                det1_new = det2_new = 0.0
-            else:
+            delta = 0.0
+            if not self.flat:
+                # excluded rows end up uncaptured and their terms wait for
+                # the z update
                 ov1 = self.counts.overlap(i1, b2)
                 ov2 = self.counts.overlap(i2, b1)
-                det1_new = self._row_det(i1, self.b_rows[b2], ov1)
-                det2_new = self._row_det(i2, self.b_rows[b1], ov2)
-                delta = 0.0
-                if self.z[i1] == 1:
-                    delta += det1_new - self.det[i1]
-                if self.z[i2] == 1:
-                    delta += det2_new - self.det[i2]
+                if z[i1] == 1:
+                    det1_new = self._row_det(i1, self.b_rows[b2], ov1)
+                    delta += det1_new - det[i1]
+                if z[i2] == 1:
+                    det2_new = self._row_det(i2, self.b_rows[b1], ov2)
+                    delta += det2_new - det[i2]
             if delta >= 0.0 or math.log(self.rng.random()) < delta:
                 perm[b1], perm[b2] = i2, i1
                 inv[i1], inv[i2] = b2, b1
@@ -510,11 +535,15 @@ class _Sampler:
                 if not self.flat:
                     self.os[i1] = ov1
                     self.os[i2] = ov2
-                    self.det[i1] = det1_new
-                    self.det[i2] = det2_new
+                    if z[i1] == 1:
+                        det[i1] = det1_new
+                    if z[i2] == 1:
+                        det[i2] = det2_new
                     self.captured[i1] = cap1_new
                     self.captured[i2] = cap2_new
                 n_acc += 1
+        self.perm[:] = perm
+        self.inv[:] = inv
         self.n_prop["perm"] += n_prop - n_null
         self.n_acc["perm"] += n_acc
 
@@ -545,7 +574,7 @@ class _Sampler:
             # refresh detection cache: keeps recorded values equal to a fresh
             # evaluation and stops float drift across incremental updates
             if not self.flat:
-                self._refresh_det()
+                self._refresh_included()
             if it >= cfg.burn_in:
                 d = it - cfg.burn_in
                 for k in self.active:

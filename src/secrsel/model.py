@@ -66,6 +66,7 @@ __all__ = [
     "LinkedCounts",
     "detection_counts",
     "detection_loglik",
+    "detection_loglik_uncaptured",
     "per_individual_log_likelihood",
     "log_likelihood",
     "log_prior",
@@ -368,8 +369,10 @@ def reorder_by_permutation(y2: np.ndarray, perm: np.ndarray) -> np.ndarray:
 def squared_distances(points: np.ndarray, traps: TrapGrid) -> np.ndarray:
     """Squared Euclidean distances, shape (n_points, J)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    diff = pts[:, None, :] - traps.locations[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    loc = traps.locations
+    dx = pts[:, 0, None] - loc[None, :, 0]
+    dy = pts[:, 1, None] - loc[None, :, 1]
+    return dx * dx + dy * dy
 
 
 class LinkedCounts:
@@ -455,6 +458,15 @@ def _phi_terms(y_tot, n_tot, phi, ll=0.0):
     return ll + xlogy(y_tot, phi) + xlogy(2 * n_tot - y_tot, 1.0 - phi)
 
 
+def _entry_and_miss(kernel, params):
+    """Trap-entry probability eta and the floored compound miss factor comp."""
+    phi = params["phi"]
+    eta = _per_trap(params["omega0"]) * kernel
+    comp = 1.0 - eta * _per_trap(phi * (2.0 - phi))
+    np.clip(comp, _COMP_FLOOR, None, out=comp)
+    return eta, comp
+
+
 def detection_loglik(model: ModelId, kernel, a, b, o, k_occ: int, params) -> np.ndarray:
     """Detection log-likelihood of rows as if included, shape kernel.shape[:-1].
 
@@ -464,16 +476,26 @@ def detection_loglik(model: ModelId, kernel, a, b, o, k_occ: int, params) -> np.
     Sex Bernoulli terms are not included.
     """
     if model.has_trap_entry:
-        phi = params["phi"]
-        eta = _per_trap(params["omega0"]) * kernel
+        eta, comp = _entry_and_miss(kernel, params)
         n = a + b - o  # occasions with at least one detector record
-        comp = 1.0 - eta * _per_trap(phi * (2.0 - phi))
-        np.clip(comp, _COMP_FLOOR, None, out=comp)
         ll = xlogy(n, eta).sum(axis=-1) + ((k_occ - n) * np.log(comp)).sum(axis=-1)
-        return _phi_terms((a + b).sum(axis=-1), n.sum(axis=-1), phi, ll)
+        return _phi_terms((a + b).sum(axis=-1), n.sum(axis=-1), params["phi"], ll)
     p = _per_trap(params["p0"]) * kernel
     y = a + b
     return xlogy(y, p).sum(axis=-1) + xlogy(2 * k_occ - y, 1.0 - p).sum(axis=-1)
+
+
+def detection_loglik_uncaptured(model: ModelId, kernel, k_occ: int, params) -> np.ndarray:
+    """`detection_loglik` of rows never captured (a = b = o = 0), bit for bit.
+
+    Every term with a count factor is xlogy(0, .) = 0 there, and adding those
+    zeros changes no bit, so only the miss terms remain.
+    """
+    if model.has_trap_entry:
+        _, comp = _entry_and_miss(kernel, params)
+        return (k_occ * np.log(comp)).sum(axis=-1)
+    p = _per_trap(params["p0"]) * kernel
+    return xlogy(2 * k_occ, 1.0 - p).sum(axis=-1)
 
 
 def _sex_loglik(u: np.ndarray, theta: float) -> np.ndarray:

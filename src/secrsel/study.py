@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -715,8 +715,10 @@ def run_study(
     checkpointed cells are loaded instead of recomputed (after verifying the
     configuration fingerprint), and the five results CSVs plus a manifest
     are written at the end.  `workers` > 1 evaluates cells in a process
-    pool; results are identical to a sequential run because every cell is
-    independently seeded.
+    pool and checkpoints each as it finishes; results are identical to a
+    sequential run because every cell is independently seeded.  If a worker
+    fails (say, a killed process breaks the pool), the cells that finished
+    are checkpointed and the first error is raised, so a rerun resumes.
     """
     t0 = time.perf_counter()
     config = StudyConfig(
@@ -752,10 +754,19 @@ def run_study(
             progress(cell)
 
     if workers > 1 and pending:
+        first_error = None
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            jobs = [(config, sc, rep) for sc, rep in pending]
-            for key, cell in pool.map(_cell_worker, jobs):
+            futures = [pool.submit(_cell_worker, (config, sc, rep)) for sc, rep in pending]
+            for future in as_completed(futures):
+                try:
+                    key, cell = future.result()
+                except Exception as exc:  # raised once every finished cell is kept
+                    if first_error is None:
+                        first_error = exc
+                    continue
                 finish(key, cell)
+        if first_error is not None:
+            raise first_error
     else:
         for sc, rep in pending:
             finish((sc.scenario_id, rep), evaluate_cell(config, sc, rep))

@@ -1,16 +1,23 @@
 """Sampler validation: exactness on small cases, prior recovery, invariants."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from secrsel.mcmc import Chain, McmcConfig, audit_chain, fit
+from secrsel.mcmc import Chain, McmcConfig, _Sampler, audit_chain, fit
 from secrsel.model import (
     CaptureDataset,
     ModelId,
     ModelParams,
     StateSpace,
     TrapGrid,
+    _gaussian,
+    _per_trap,
+    _sigma_rows,
+    detection_loglik,
+    squared_distances,
 )
 from secrsel.simulate import Scenario, scaled_design, scaled_scenarios, simulate_dataset
 
@@ -91,6 +98,60 @@ class TestCacheConsistency:
         cfg = McmcConfig(n_iter=50, burn_in=0, seed=1, sample_scalars=False, init_params=start)
         chain = fit(ModelId.M3, data, cfg)
         assert audit_chain(chain, data, fraction=1.0) == 0.0
+
+
+def fresh_caches(sampler, rows):
+    """Distances, kernels and detection terms of `rows`, evaluated from scratch."""
+    data, params = sampler.data, sampler.params
+    dist2 = squared_distances(sampler.s[rows], data.traps)
+    kernels = [_gaussian(dist2, sig) for sig in sampler._sigma_values()]
+    sigma = _per_trap(_sigma_rows(sampler.model, params, sampler.u[rows]))
+    b, o = data.counts.linked(sampler.perm)
+    det = detection_loglik(
+        sampler.model, _gaussian(dist2, sigma), data.counts.a[rows], b[rows], o[rows],
+        data.n_occasions, params,
+    )
+    return dist2, kernels, det
+
+
+class TestIncludedRowCaches:
+    """Between z updates the sampler keeps only included rows' caches current."""
+
+    @pytest.mark.parametrize("model", [ModelId.M1, ModelId.M2, ModelId.M3, ModelId.M4])
+    @pytest.mark.parametrize("seed", [11, 9])  # 9 has unlinked detector-2 rows
+    def test_caches_fresh_after_every_block(self, model, seed):
+        data, _ = simulate_dataset(BUSY, small_design(), seed=seed)
+        sampler = _Sampler(model, data, McmcConfig(n_iter=60, burn_in=0, seed=4))
+
+        def assert_fresh(rows, where):
+            dist2, kernels, det = fresh_caches(sampler, rows)
+            assert np.array_equal(sampler.det[rows], det), where
+            assert np.array_equal(sampler.dist2[rows], dist2), where
+            for c, kernel in enumerate(kernels):
+                assert np.array_equal(sampler.kernels[c, rows], kernel), where
+
+        refresh_excluded = sampler._refresh_excluded
+        z_entries = []
+
+        def refresh_then_check():
+            # entering the z draw, every free row's term must be current
+            refresh_excluded()
+            assert_fresh(np.flatnonzero(~sampler.captured), "z entry")
+            z_entries.append(int((sampler.z == 0).sum()))
+
+        sampler._refresh_excluded = refresh_then_check
+        blocks = [("psi", sampler._update_psi)]
+        blocks += [(n, partial(sampler._update_scalar, n)) for n in sampler.mh_names]
+        blocks += [("z", sampler._update_z), ("u", sampler._update_u), ("s", sampler._update_s),
+                   ("perm", sampler._update_perm), ("refresh", sampler._refresh_included)]
+        for it in range(60):
+            for name, block in blocks:
+                block()
+                assert np.array_equal(sampler.on, np.flatnonzero(sampler.z == 1))
+                assert_fresh(sampler.on, (it, name))
+        assert len(z_entries) == 60 and max(z_entries) > 0
+        if seed == 9:
+            assert sampler.n_prop["perm"] > 0
 
 
 class TestInvariants:

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from _oracles import brute_latent_log_prior, brute_log_likelihood
+from secrsel.mcmc import _reflect
 from secrsel.model import (
+    _COMP_FLOOR,
     CaptureDataset,
     LatentState,
     ModelId,
@@ -19,6 +21,8 @@ from secrsel.model import (
     TrapGrid,
     active_param_names,
     detection_counts,
+    detection_loglik,
+    detection_loglik_uncaptured,
     detection_prob,
     from_transformed,
     log_latent_prior,
@@ -26,10 +30,12 @@ from secrsel.model import (
     log_prior,
     per_individual_log_likelihood,
     reorder_by_permutation,
+    squared_distances,
     to_transformed,
     transform_log_jacobian,
     trap_entry_prob,
 )
+from secrsel.simulate import scaled_design, standard_design
 
 ALL_MODELS = [ModelId.M1, ModelId.M2, ModelId.M3, ModelId.M4]
 
@@ -134,6 +140,55 @@ class TestDetectionFunctions:
             detection_prob(0.5, 0.0, 1.0)
         with pytest.raises(ValueError):
             detection_prob(0.5, 0.5, -0.1)
+
+
+class TestSharedArithmetic:
+    """Faster forms of shared arithmetic against the forms they replaced."""
+
+    @pytest.mark.parametrize("design", [standard_design(), scaled_design()],
+                             ids=["standard", "scaled"])
+    def test_squared_distances_match_einsum(self, design):
+        space, traps = design.statespace, design.traps
+        rng = np.random.default_rng(44)
+        lo = np.array([space.x_min, space.y_min])
+        hi = np.array([space.x_max, space.y_max])
+        inside = rng.uniform(lo, hi, (500, 2))
+        corners = np.array([[space.x_min, space.y_min], [space.x_max, space.y_max],
+                            [space.x_min, space.y_max], [space.x_max, space.y_min]])
+        edges = np.column_stack([rng.uniform(lo[0], hi[0], 50), np.full(50, hi[1])])
+        # points after the sampler's reflected walk, from far outside too
+        walk = inside + rng.normal(0.0, 3.0, inside.shape)
+        reflected = np.column_stack([_reflect(walk[:, 0], space.x_min, space.x_max),
+                                     _reflect(walk[:, 1], space.y_min, space.y_max)])
+        for pts in (inside, corners, edges, reflected, traps.locations, inside[0]):
+            diff = np.atleast_2d(pts)[:, None, :] - traps.locations[None, :, :]
+            want = np.einsum("ijk,ijk->ij", diff, diff)
+            assert np.array_equal(squared_distances(pts, traps), want)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_uncaptured_form_matches_zero_counts(self, model):
+        rng = np.random.default_rng(9)
+        k_occ = 50
+        kernel = rng.random((40, 160))
+        kernel[0] = 0.0
+        kernel[1] = 1.0
+        kernel[2, ::3] = 0.0
+        kernel[3, ::2] = 1.0
+        zeros = np.zeros(kernel.shape, dtype=np.int64)
+        floor = PARAMS.updated(phi=1.0, omega0=1.0, p0=1.0)  # comp = 0, floored
+        got = {}
+        for params in (PARAMS, floor, PARAMS.updated(omega0=1e-300, p0=1e-300)):
+            want = detection_loglik(model, kernel, zeros, zeros, zeros, k_occ, params)
+            got[params] = detection_loglik_uncaptured(model, kernel, k_occ, params)
+            assert np.array_equal(got[params], want)
+        if model.has_trap_entry:  # the floor keeps a certain entry finite
+            assert got[floor][1] == pytest.approx(k_occ * 160 * math.log(_COMP_FLOOR), rel=1e-12)
+        else:
+            assert got[floor][1] == -math.inf
+        # draw-batched scalars, as the estimators pass them
+        batch = {k: np.array([[0.2], [0.7]]) for k in ("phi", "omega0", "p0")}
+        want = detection_loglik(model, kernel[None], zeros, zeros, zeros, k_occ, batch)
+        assert np.array_equal(detection_loglik_uncaptured(model, kernel[None], k_occ, batch), want)
 
 
 class TestReorder:

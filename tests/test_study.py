@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import shutil
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -340,7 +342,46 @@ class TestRunStudy:
             strip_timing(c) for c in results.cells]
 
 
+class FirstWorkerDies:
+    """In-process stand-in for a process pool whose first job loses its worker."""
+
+    def __init__(self, max_workers):
+        self.n_submitted = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        if self.n_submitted == 0:
+            future.set_exception(BrokenProcessPool("worker process died"))
+        else:
+            future.set_result(fn(*args))
+        self.n_submitted += 1
+        return future
+
+
 class TestFailureHandling:
+    def test_broken_pool_keeps_finished_cells(self, mini_study, tmp_path, monkeypatch):
+        import secrsel.study as study_mod
+
+        _, first = mini_study
+        out = tmp_path / "broken"
+        monkeypatch.setattr(study_mod, "ProcessPoolExecutor", FirstWorkerDies)
+        with pytest.raises(BrokenProcessPool):
+            run_mini(out, workers=2)
+        assert not (out / "checkpoints" / "cell_busy_0.json").exists()
+        assert (out / "checkpoints" / "cell_busy_1.json").exists()
+        monkeypatch.undo()
+        computed = []
+        run_mini(out, progress=lambda cell: computed.append(cell.replicate))
+        assert computed == [0]  # the finished cell is resumed, not recomputed
+        for name in CSV_NAMES:
+            assert (out / name).read_bytes() == (first / name).read_bytes(), name
+
     def test_failed_fit_marks_cell_incomplete(self, tmp_path, monkeypatch):
         import secrsel.study as study_mod
 
