@@ -30,9 +30,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import gammaln, logsumexp, xlogy
-from scipy.stats import chi2
+from scipy.special import gammaincinv, gammaln, logsumexp, xlogy
 
 from .errors import NumericalError
 from .mcmc import Chain
@@ -144,6 +142,8 @@ class TuningDensity:
             raise ValueError(
                 f"points have dimension {pts.shape[1]}, tuning density {self.dimension}"
             )
+        from scipy.linalg import solve_triangular  # imported on first use: slow to load
+
         dev = solve_triangular(self.chol, (pts - self.location).T, lower=True)
         d2 = np.einsum("ij,ij->j", dev, dev)
         p = self.dimension
@@ -213,7 +213,8 @@ def fit_tuning(source, kind: TuningKind) -> TuningDensity:
             stacklevel=2,
         )
     half_logdet = float(np.log(np.diag(chol)).sum())
-    radius2 = float(chi2.ppf(kind.alpha, df=p)) if kind.family == "truncnorm" else math.inf
+    # the chi-square(p) quantile, as scipy.stats.chi2.ppf computes it
+    radius2 = 2.0 * float(gammaincinv(p / 2, kind.alpha)) if kind.family == "truncnorm" else math.inf
     return TuningDensity(kind, location, scale, chol, half_logdet, radius2)
 
 

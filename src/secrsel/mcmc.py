@@ -19,8 +19,9 @@ The sampler caches, per row, squared trap distances, Gaussian kernels (under
 both sexes for sex models) and the detection log-likelihood, so that most
 updates are cheap arithmetic.  Between two z updates only included rows
 (z = 1) enter any acceptance ratio, so every block but the z update reads and
-writes the caches of included rows only, and the detection terms of included
-rows are refreshed from scratch at the end of every iteration.  Excluded rows
+writes the caches of included rows only.  Every block stores a detection term
+as a fresh evaluation of its row, never as an accumulated delta, so the terms
+of included rows need no periodic refresh and cannot drift.  Excluded rows
 are all uncaptured (captured rows always stay included), their centre moves
 have an acceptance ratio of exactly 1, and the rest of their caches are stale
 until the z update, which recomputes their distances, kernels and detection
@@ -571,10 +572,6 @@ class _Sampler:
             self._update_u()
             self._update_s()
             self._update_perm()
-            # refresh detection cache: keeps recorded values equal to a fresh
-            # evaluation and stops float drift across incremental updates
-            if not self.flat:
-                self._refresh_included()
             if it >= cfg.burn_in:
                 d = it - cfg.burn_in
                 for k in self.active:

@@ -316,3 +316,14 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+def test_import_leaves_out_heavy_scipy_subpackages():
+    # secrsel.cli imports every module of the package
+    heavy = ("scipy.stats", "scipy.linalg", "scipy.optimize", "scipy.sparse")
+    code = f"import sys, secrsel.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

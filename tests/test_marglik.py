@@ -146,6 +146,14 @@ class TestTuningDensities:
             assert fitted.log_density(outside) == -math.inf
             assert np.isfinite(fitted.log_density(inside))
 
+    def test_truncation_radius_is_scipy_chi2_quantile(self):
+        rng = np.random.default_rng(5)
+        for p in range(1, 9):
+            x = rng.standard_normal((p + 20, p))
+            for kind in tuning_grid():
+                if kind.family == "truncnorm":
+                    assert fit_tuning(x, kind).radius2 == stats.chi2.ppf(kind.alpha, df=p)
+
     def test_singular_covariance_ridge_warns(self):
         rng = np.random.default_rng(4)
         col = rng.normal(size=200)

@@ -143,7 +143,7 @@ class TestIncludedRowCaches:
         blocks = [("psi", sampler._update_psi)]
         blocks += [(n, partial(sampler._update_scalar, n)) for n in sampler.mh_names]
         blocks += [("z", sampler._update_z), ("u", sampler._update_u), ("s", sampler._update_s),
-                   ("perm", sampler._update_perm), ("refresh", sampler._refresh_included)]
+                   ("perm", sampler._update_perm)]
         for it in range(60):
             for name, block in blocks:
                 block()
