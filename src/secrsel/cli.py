@@ -292,13 +292,13 @@ def cmd_fit(args) -> int:
     chain = fit(model, data, mcfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_chain(out / "chain.txt", chain)
+    save_chain(out / "chain.bin", chain)
     write_manifest(
         out,
         subcommand="fit",
         seed=seed,
         inputs=[args.data],
-        outputs=["chain.txt"],
+        outputs=["chain.bin"],
         wall_time_s=time.perf_counter() - t0,
         extra={"model": model.value, "n_draws": chain.n_draws},
     )

@@ -3,9 +3,9 @@
 Every file starts with a schema line `#%secr-<kind> v<major>`; readers reject
 unknown kinds and major versions.  Floats are written with `repr`, which in
 Python 3 is the shortest string that round-trips exactly, so write -> read ->
-write is byte-stable.  Bit vectors (z, u) are hex-packed, and float/integer
-blocks inside chain rows are base64 of the little-endian raw bytes; both are
-lossless.
+write is byte-stable.  A chain file (v2) is binary: the schema line, one JSON
+header line, then one `np.save` record per array, which is lossless and, unlike
+an `.npz` archive, carries no write time.
 
 The manifest is a JSON sidecar (`manifest.json`, one per output directory)
 recording the subcommand, seeds, configuration hash, input/output digests and
@@ -15,7 +15,6 @@ output excluded from byte-identity comparisons.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import sys
@@ -56,7 +55,7 @@ __all__ = [
 FORMAT_VERSIONS = {
     "dataset": 1,
     "truth": 1,
-    "chain": 1,
+    "chain": 2,
     "selections": 1,
     "rmse": 1,
     "correlations": 1,
@@ -89,24 +88,6 @@ def _check_schema(line: str, kind: str, path) -> None:
             f"{path}: unsupported {kind} format version {major} "
             f"(this reader supports v{FORMAT_VERSIONS[kind]})"
         )
-
-
-def _b64(arr: np.ndarray, dtype) -> str:
-    return base64.b64encode(np.ascontiguousarray(arr, dtype=dtype).tobytes()).decode()
-
-
-def _unb64(text: str, dtype, shape) -> np.ndarray:
-    flat = np.frombuffer(base64.b64decode(text), dtype=dtype)
-    return flat.reshape(shape).copy()
-
-
-def _hexbits(arr: np.ndarray) -> str:
-    return np.packbits(arr.astype(np.uint8)).tobytes().hex()
-
-
-def _unhexbits(text: str, n: int) -> np.ndarray:
-    raw = np.frombuffer(bytes.fromhex(text), dtype=np.uint8)
-    return np.unpackbits(raw)[:n].astype(np.uint8)
 
 
 # -- datasets ---------------------------------------------------------------
@@ -279,38 +260,34 @@ def load_truth(path) -> TruthRecord:
 
 # -- chains -------------------------------------------------------------------
 
+# Arrays after the active scalars, in file order, with their dtypes.
+_CHAIN_DTYPES = {
+    "loglik": np.float64,
+    "logprior": np.float64,
+    "z": np.uint8,
+    "u": np.uint8,
+    "perm": np.int32,
+    "s": np.float64,
+    "perind": np.float64,
+}
+
 
 def save_chain(path, chain) -> None:
-    """Columnar chain file: one row per draw; latents compactly encoded."""
-    path = Path(path)
-    names = active_param_names(chain.model)
-    header = [_schema_line("chain")]
-    header.append(f"model {chain.model.value}")
-    header.append(f"m {chain.n_augmented}")
-    header.append(f"seed {chain.seed}")
-    header.append(f"n_iter {chain.n_iter}")
-    header.append(f"burn_in {chain.burn_in}")
-    header.append(f"sigma_upper {fmt(chain.prior.sigma_upper)}")
-    for k in sorted(chain.accept):
-        header.append(f"accept {k} {fmt(chain.accept[k])}")
-    header.append(
-        "columns draw,"
-        + ",".join(names)
-        + ",loglik,logprior,z,u,perm,s,perind"
-    )
-    with path.open("w") as fh:
-        fh.write("\n".join(header) + "\n")
-        for d in range(chain.n_draws):
-            cells = [str(d)]
-            cells += [fmt(chain.params[k][d]) for k in names]
-            cells.append(fmt(chain.loglik[d]))
-            cells.append(fmt(chain.logprior[d]))
-            cells.append(_hexbits(chain.z[d]))
-            cells.append(_hexbits(chain.u[d]))
-            cells.append(_b64(chain.perm[d], "<i4"))
-            cells.append(_b64(chain.s[d], "<f8"))
-            cells.append(_b64(chain.perind[d], "<f8"))
-            fh.write(",".join(cells) + "\n")
+    """Chain file: schema line, JSON header line, then one `.npy` record per array."""
+    header = {
+        "model": chain.model.value,
+        "seed": int(chain.seed),
+        "n_iter": int(chain.n_iter),
+        "burn_in": int(chain.burn_in),
+        "sigma_upper": float(chain.prior.sigma_upper),
+        "accept": {k: float(v) for k, v in chain.accept.items()},
+    }
+    arrays = [(chain.params[k], np.float64) for k in active_param_names(chain.model)]
+    arrays += [(getattr(chain, k), dtype) for k, dtype in _CHAIN_DTYPES.items()]
+    with Path(path).open("wb") as fh:
+        fh.write(f"{_schema_line('chain')}\n{json.dumps(header, sort_keys=True)}\n".encode())
+        for arr, dtype in arrays:
+            np.save(fh, np.asarray(arr, dtype=dtype), allow_pickle=False)
 
 
 def load_chain(path):
@@ -318,78 +295,40 @@ def load_chain(path):
 
     path = Path(path)
     try:
-        with path.open() as fh:
-            first = fh.readline()
-            _check_schema(first, "chain", path)
-            meta: dict[str, str] = {}
-            accept: dict[str, float] = {}
-            columns: list[str] = []
-            for raw in fh:
-                line = raw.strip()
-                if line.startswith("columns "):
-                    columns = line.split(" ", 1)[1].split(",")
-                    break
-                key, *rest = line.split()
-                if key == "accept":
-                    accept[rest[0]] = float(rest[1])
-                else:
-                    meta[key] = " ".join(rest)
-            if not columns:
-                raise DataError(f"{path}: chain file has no columns line")
-            rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    except OSError as exc:
+        with path.open("rb") as fh:
+            _check_schema(fh.readline().decode(), "chain", path)
+            meta = json.loads(fh.readline())
+            model = ModelId(meta["model"])
+            names = active_param_names(model)
+            # np.load's .npy branch alone: np.load would open a zip record as an
+            # archive (raising BadZipFile) instead of refusing it.
+            arrays = {
+                k: np.lib.format.read_array(fh, allow_pickle=False)
+                for k in (*names, *_CHAIN_DTYPES)
+            }
+            if fh.read(1):
+                raise DataError(f"{path}: data after the last chain array")
+        n, m = arrays["z"].shape
+        shapes = {"z": (n, m), "u": (n, m), "perm": (n, m), "s": (n, m, 2), "perind": (n, m)}
+        for k, arr in arrays.items():
+            dtype, shape = _CHAIN_DTYPES.get(k, np.float64), shapes.get(k, (n,))
+            if arr.dtype != dtype or arr.shape != shape:
+                raise DataError(
+                    f"{path}: chain array {k} is {arr.dtype} {arr.shape}, "
+                    f"expected {np.dtype(dtype)} {shape}"
+                )
+        return Chain(
+            model=model,
+            prior=PriorSpec(sigma_upper=float(meta["sigma_upper"])),
+            seed=int(meta["seed"]),
+            n_iter=int(meta["n_iter"]),
+            burn_in=int(meta["burn_in"]),
+            params={k: arrays[k] for k in names},
+            accept={k: float(v) for k, v in dict(meta["accept"]).items()},
+            **{k: arrays[k] for k in _CHAIN_DTYPES},
+        )
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot read chain {path}: {exc}")
-    try:
-        model = ModelId(meta["model"])
-        m = int(meta["m"])
-        seed = int(meta["seed"])
-        n_iter = int(meta["n_iter"])
-        burn_in = int(meta["burn_in"])
-        prior = PriorSpec(sigma_upper=float(meta["sigma_upper"]))
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"{path}: missing or malformed chain header ({exc})")
-    names = list(active_param_names(model))
-    expected = ["draw"] + names + ["loglik", "logprior", "z", "u", "perm", "s", "perind"]
-    if columns != expected:
-        raise DataError(f"{path}: unexpected chain columns {columns}")
-    n = len(rows)
-    col = {c: i for i, c in enumerate(columns)}
-    params = {k: np.array([float(r[col[k]]) for r in rows]) for k in names}
-    loglik = np.array([float(r[col["loglik"]]) for r in rows])
-    logprior = np.array([float(r[col["logprior"]]) for r in rows])
-    z = np.stack([_unhexbits(r[col["z"]], m) for r in rows]) if n else np.zeros((0, m), np.uint8)
-    u = np.stack([_unhexbits(r[col["u"]], m) for r in rows]) if n else np.zeros((0, m), np.uint8)
-    perm = (
-        np.stack([_unb64(r[col["perm"]], "<i4", (m,)) for r in rows])
-        if n
-        else np.zeros((0, m), np.int32)
-    )
-    s = (
-        np.stack([_unb64(r[col["s"]], "<f8", (m, 2)) for r in rows])
-        if n
-        else np.zeros((0, m, 2))
-    )
-    perind = (
-        np.stack([_unb64(r[col["perind"]], "<f8", (m,)) for r in rows])
-        if n
-        else np.zeros((0, m))
-    )
-    return Chain(
-        model=model,
-        prior=prior,
-        seed=seed,
-        n_iter=n_iter,
-        burn_in=burn_in,
-        params=params,
-        z=z,
-        u=u,
-        s=s,
-        perm=perm.astype(np.int32),
-        loglik=loglik,
-        logprior=logprior,
-        perind=perind,
-        accept=accept,
-    )
 
 
 # -- results CSVs ---------------------------------------------------------------

@@ -308,18 +308,13 @@ def marginal_from_log_ratios(log_ratios, method: str, tuning: str = "none") -> L
     )
 
 
-def _estimate_from_loglik(loglik: np.ndarray, method: str, tuning: str) -> LogMarginal:
-    """Shared harmonic-mean path: summands 1/likelihood from cached values."""
-    return marginal_from_log_ratios(-np.asarray(loglik, dtype=float), method, tuning)
-
-
 def harmonic_mean(chain: Chain) -> LogMarginal:
     """Harmonic mean of the per-draw likelihoods (from the chain's cache).
 
     Draws with zero likelihood cannot contribute a finite summand and are
     excluded with a warning counter.
     """
-    return _estimate_from_loglik(chain.loglik, "HM", "none")
+    return marginal_from_log_ratios(-chain.loglik, "HM", "none")
 
 
 def bayes_factor(a: LogMarginal, b: LogMarginal) -> float:
@@ -375,17 +370,6 @@ def plug_in_loglik_draws(
         ll = detection_loglik(model, kernel, a, b, o, data.n_occasions, draws)
         out[lo : lo + chunk] += ll.sum(axis=-1)
     return out
-
-
-def _latent_log_prior_draws(
-    model: ModelId,
-    latent: LatentState,
-    data: CaptureDataset,
-    psi: np.ndarray,
-    theta: np.ndarray | None,
-) -> np.ndarray:
-    """Latent-state log prior of a fixed state under each draw's scalars."""
-    return _latent_log_prior(model, latent.z, latent.u, psi, theta, data.statespace.area)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +436,9 @@ def map_refine(chain: Chain, data: CaptureDataset) -> MapEstimate:
         plug_in = plug_in_loglik_draws(model, data, latent, chain.params)
         vals = (
             plug_in
-            + _latent_log_prior_draws(model, latent, data, chain.params["psi"], theta)
+            + _latent_log_prior(
+                model, latent.z, latent.u, chain.params["psi"], theta, data.statespace.area
+            )
             + lp_scalar
         )
         cand = int(np.argmax(vals))
@@ -498,7 +484,7 @@ def gd_map(
     over this chain's draws.
     """
     if isinstance(tuning, TuningKind) and tuning.family == "prior":
-        return _estimate_from_loglik(chain.loglik, "GD-MAP", "prior")
+        return marginal_from_log_ratios(-chain.loglik, "GD-MAP", "prior")
     model = chain.model
     if map_estimate is None:
         map_estimate = map_refine(chain, data)
@@ -516,7 +502,10 @@ def gd_map(
     denom = (
         plug_in
         + log_prior(model, chain.params, chain.prior)
-        + _latent_log_prior_draws(model, latent, data, chain.params["psi"], chain.params.get("theta"))
+        + _latent_log_prior(
+            model, latent.z, latent.u, chain.params["psi"], chain.params.get("theta"),
+            data.statespace.area,
+        )
         + _log_jacobian_draws(v, upper)
     )
     return marginal_from_log_ratios(log_g - denom, "GD-MAP", fitted.kind.label)
@@ -671,7 +660,7 @@ def gd_il(
     if il.shape != (chain.n_draws,):
         raise ValueError("il_values does not match the chain's draw count")
     if isinstance(tuning, TuningKind) and tuning.family == "prior":
-        return _estimate_from_loglik(il, "GD-IL", "prior")
+        return marginal_from_log_ratios(-il, "GD-IL", "prior")
     fitted = tuning if isinstance(tuning, TuningDensity) else fit_tuning(chain, tuning)
     v = transformed_param_draws(chain)
     upper = _scale_upper_bounds(model, chain.prior)

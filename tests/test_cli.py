@@ -58,7 +58,7 @@ def workdir(tmp_path_factory):
             assert main(["fit", "--data", str(root / "sim" / "dataset.txt"),
                          "--model", model.value, "--iterations", "300",
                          "--burn-in", "100", "--seed", "1", "--out", str(out)]) == 0
-            chain_paths.append(str(out / "chain.txt"))
+            chain_paths.append(str(out / "chain.bin"))
     return root, cfg, chain_paths
 
 
@@ -244,8 +244,8 @@ class TestSelect:
         root, _, chains = workdir
         bare = tmp_path / "bare"
         bare.mkdir()
-        shutil.copy(chains[0], bare / "chain.txt")
-        mixed = [str(bare / "chain.txt")] + chains[1:]
+        shutil.copy(chains[0], bare / "chain.bin")
+        mixed = [str(bare / "chain.bin")] + chains[1:]
         argv = ["select", "--data", str(root / "sim" / "dataset.txt"),
                 "--chains", *mixed, "--tools", "hm", "--out", str(tmp_path / "o")]
         assert main(argv) == 2

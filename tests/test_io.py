@@ -23,7 +23,7 @@ from secrsel.io import (
     write_manifest,
 )
 from secrsel.mcmc import McmcConfig, fit
-from secrsel.model import ModelId
+from secrsel.model import ModelId, active_param_names
 from secrsel.simulate import Scenario, simulate_dataset
 
 from test_simulate import small_design
@@ -102,29 +102,66 @@ class TestTruthFiles:
         assert back.theta_true == truth.theta_true
 
 
+@pytest.fixture(scope="module")
+def chain():
+    data, _ = simulate_dataset(BUSY, small_design(), seed=3)
+    return fit(ModelId.M1, data, McmcConfig(n_iter=40, burn_in=10, seed=2))
+
+
 class TestChainFiles:
-    def test_round_trip(self, tmp_path):
-        data, _ = simulate_dataset(BUSY, small_design(), seed=3)
-        chain = fit(ModelId.M1, data, McmcConfig(n_iter=40, burn_in=10, seed=2))
-        p = tmp_path / "chain.txt"
+    def test_round_trip(self, chain, tmp_path):
+        p = tmp_path / "chain.bin"
         save_chain(p, chain)
         back = load_chain(p)
         assert back.model == chain.model and back.seed == chain.seed
         assert back.n_iter == chain.n_iter and back.burn_in == chain.burn_in
         assert back.prior == chain.prior
-        assert back.accept == pytest.approx(chain.accept)
-        for k in chain.params:
-            assert np.array_equal(back.params[k], chain.params[k])
-        for f in ("z", "u", "s", "perm", "loglik", "logprior", "perind"):
-            assert np.array_equal(getattr(back, f), getattr(chain, f)), f
+        assert back.accept == chain.accept
+        pairs = [(back.params[k], chain.params[k]) for k in chain.params]
+        pairs += [(getattr(back, f), getattr(chain, f))
+                  for f in ("z", "u", "s", "perm", "loglik", "logprior", "perind")]
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
         assert back.n_draws == 30
 
-    def test_rejects_truncated_columns(self, tmp_path):
+    def test_rewrite_is_byte_identical(self, chain, tmp_path):
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_chain(first, chain)
+        save_chain(second, load_chain(first))
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_rejects_truncated_file(self, chain, tmp_path):
+        p = tmp_path / "chain.bin"
+        save_chain(p, chain)
+        p.write_bytes(p.read_bytes()[:-100])
+        with pytest.raises(DataError, match="chain.bin"):
+            load_chain(p)
+
+    def test_rejects_trailing_data(self, chain, tmp_path):
+        p = tmp_path / "chain.bin"
+        save_chain(p, chain)
+        p.write_bytes(p.read_bytes() + b"\0")
+        with pytest.raises(DataError, match="after the last chain array"):
+            load_chain(p)
+
+    def test_rejects_version_1_text_chain(self, tmp_path):
         p = tmp_path / "chain.txt"
         p.write_text("#%secr-chain v1\nmodel M4\nm 3\nseed 1\nn_iter 5\nburn_in 1\n"
                      "sigma_upper 3.0\ncolumns draw,psi\n")
-        with pytest.raises(DataError, match="columns"):
+        with pytest.raises(DataError, match="version"):
             load_chain(p)
+
+    def test_rejects_wrong_dtype(self, chain, tmp_path):
+        src, bad = tmp_path / "chain.bin", tmp_path / "bad.bin"
+        save_chain(src, chain)
+        with src.open("rb") as fh, bad.open("wb") as out:
+            out.write(fh.readline() + fh.readline())
+            for name in [*active_param_names(chain.model), "loglik", "logprior", "z", "u", "perm", "s", "perind"]:
+                arr = np.lib.format.read_array(fh)
+                np.save(out, arr.astype(np.float64) if name == "z" else arr)
+        with pytest.raises(DataError, match="array z is float64"):
+            load_chain(bad)
 
 
 class TestResultsCsv:

@@ -15,7 +15,6 @@ from secrsel.marglik import (
     PRIOR_TUNING,
     TuningKind,
     _joint_at_latents,
-    _latent_log_prior_draws,
     _log_jacobian_draws,
     bayes_factor,
     fit_tuning,
@@ -294,8 +293,9 @@ class TestVectorizedPieces:
         data, _ = busy_data
         chain = busy_chains[model]
         latent = chain.latent_at(5)
-        vals = _latent_log_prior_draws(
-            model, latent, data, chain.params["psi"], chain.params.get("theta")
+        vals = _latent_log_prior(
+            model, latent.z, latent.u, chain.params["psi"], chain.params.get("theta"),
+            data.statespace.area,
         )
         for d in (0, 50, 200):
             exact = log_latent_prior(model, latent, chain.params_at(d), data.statespace)
