@@ -52,6 +52,7 @@ from .simulate import (
 from .study import (
     MODEL_ORDER,
     ToolId,
+    _checkpoint_path,
     run_study,
     score_tools,
 )
@@ -403,6 +404,8 @@ def cmd_study(args) -> int:
         seed = _cast(cfg, "seed", int, None)
     seed = _ensure_seed(seed)
     resolution = _cast(cfg, "il_resolution", float, 0.0)
+    keys = [(sc.scenario_id, rep) for sc in scenarios for rep in range(n_sim)]
+    n_loaded = sum(_checkpoint_path(out, *key).exists() for key in keys)
     results = run_study(
         design,
         scenarios,
@@ -415,17 +418,46 @@ def cmd_study(args) -> int:
         sex_obs=cfg.get("sex_obs", "captured"),
         tools=_parse_tools(cfg.get("tools", "all")),
         workers=args.workers,
-        progress=lambda cell: print(
-            f"cell {cell.scenario_id}/{cell.replicate}: {cell.status} "
-            f"({cell.wall_time_s:.1f}s)",
-            file=sys.stderr,
-        ),
+        progress=_StudyProgress(len(keys), n_loaded, args.workers),
     )
     n_done = len(results.complete_cells())
     print(f"study complete: {n_done}/{len(results.cells)} cells -> {out}")
     for sid, rep, message in results.failures:
         print(f"FAILED {sid}/{rep}: {message}", file=sys.stderr)
     return 0
+
+
+def _duration(seconds: float) -> str:
+    minutes, s = divmod(round(seconds), 60)
+    h, minutes = divmod(minutes, 60)
+    if h:
+        return f"{h}h{minutes:02d}m"
+    return f"{minutes}m{s:02d}s" if minutes else f"{s}s"
+
+
+class _StudyProgress:
+    """`run_study`'s progress callback: one stderr line per computed cell.
+
+    Each line shows done/total and an ETA from the mean `wall_time_s` of the
+    cells computed so far; cells loaded from checkpoints count as done but
+    stay out of the mean.
+    """
+
+    def __init__(self, total: int, n_loaded: int, workers: int = 1):
+        self.total, self.done, self.workers = total, n_loaded, max(workers, 1)
+        self.times: list[float] = []
+
+    def __call__(self, cell) -> None:
+        self.done += 1
+        self.times.append(cell.wall_time_s)
+        rounds = math.ceil((self.total - self.done) / self.workers)
+        eta = sum(self.times) / len(self.times) * rounds
+        print(
+            f"cell {cell.scenario_id}/{cell.replicate}: {cell.status} "
+            f"({cell.wall_time_s:.1f}s) {self.done}/{self.total} done, "
+            f"ETA {_duration(eta)}",
+            file=sys.stderr,
+        )
 
 
 def _print_table(header: list[str], rows: list[list[str]]) -> None:

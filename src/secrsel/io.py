@@ -3,9 +3,10 @@
 Every file starts with a schema line `#%secr-<kind> v<major>`; readers reject
 unknown kinds and major versions.  Floats are written with `repr`, which in
 Python 3 is the shortest string that round-trips exactly, so write -> read ->
-write is byte-stable.  A chain file (v2) is binary: the schema line, one JSON
+write is byte-stable.  A chain file (v3) is binary: the schema line, one JSON
 header line, then one `np.save` record per array, which is lossless and, unlike
-an `.npz` archive, carries no write time.
+an `.npz` archive, carries no write time; it stores only what each draw
+determines (see `save_chain`).
 
 The manifest is a JSON sidecar (`manifest.json`, one per output directory)
 recording the subcommand, seeds, configuration hash, input/output digests and
@@ -55,7 +56,7 @@ __all__ = [
 FORMAT_VERSIONS = {
     "dataset": 1,
     "truth": 1,
-    "chain": 2,
+    "chain": 3,
     "selections": 1,
     "rmse": 1,
     "correlations": 1,
@@ -260,20 +261,44 @@ def load_truth(path) -> TruthRecord:
 
 # -- chains -------------------------------------------------------------------
 
-# Arrays after the active scalars, in file order, with their dtypes.
-_CHAIN_DTYPES = {
-    "loglik": np.float64,
-    "logprior": np.float64,
-    "z": np.uint8,
-    "u": np.uint8,
-    "perm": np.int32,
-    "s": np.float64,
-    "perind": np.float64,
-}
+# Records after the active scalars, in file order.  A draw determines z, u and
+# perm as integers below M and perind only at its included rows, so v3 stores
+# z and u as packed bits (`np.packbits` along rows), perm in the narrowest
+# unsigned dtype that holds M - 1 and perind as its z == 1 entries in row-major
+# order; the other perind entries are +0.0, as the sampler records them.
+_CHAIN_RECORDS = ("loglik", "logprior", "z", "u", "perm", "s", "perind")
+
+
+def _perm_dtype(m: int) -> np.dtype:
+    return np.min_scalar_type(max(m - 1, 0))
 
 
 def save_chain(path, chain) -> None:
-    """Chain file: schema line, JSON header line, then one `.npy` record per array."""
+    """Chain file: schema line, JSON header line, then one `.npy` record per array.
+
+    Raises ValueError, naming the array, when the chain cannot be stored
+    exactly: z or u outside {0, 1}, perind other than +0.0 where z = 0 (so
+    -0.0 too), or perm outside [0, M).
+    """
+    z, u = np.asarray(chain.z), np.asarray(chain.u)
+    perm = np.asarray(chain.perm)
+    perind = np.ascontiguousarray(chain.perind, dtype=np.float64)
+    m = z.shape[1]
+    for name, bits in (("z", z), ("u", u)):
+        if not ((bits == 0) | (bits == 1)).all():
+            raise ValueError(f"chain array {name} holds values other than 0 and 1")
+    included = z == 1
+    if perind.view(np.uint64)[~included].any():
+        raise ValueError("chain array perind is not +0.0 at every row with z = 0")
+    if perm.size and (perm.min() < 0 or perm.max() >= m):
+        raise ValueError(f"chain array perm holds values outside [0, {m})")
+    records = [np.asarray(chain.params[k], dtype=np.float64)
+               for k in active_param_names(chain.model)]
+    records += [np.asarray(chain.loglik, dtype=np.float64),
+                np.asarray(chain.logprior, dtype=np.float64)]
+    records += [np.packbits(z, axis=1), np.packbits(u, axis=1)]
+    records += [perm.astype(_perm_dtype(m)), np.asarray(chain.s, dtype=np.float64)]
+    records.append(perind[included])
     header = {
         "model": chain.model.value,
         "seed": int(chain.seed),
@@ -282,12 +307,10 @@ def save_chain(path, chain) -> None:
         "sigma_upper": float(chain.prior.sigma_upper),
         "accept": {k: float(v) for k, v in chain.accept.items()},
     }
-    arrays = [(chain.params[k], np.float64) for k in active_param_names(chain.model)]
-    arrays += [(getattr(chain, k), dtype) for k, dtype in _CHAIN_DTYPES.items()]
     with Path(path).open("wb") as fh:
         fh.write(f"{_schema_line('chain')}\n{json.dumps(header, sort_keys=True)}\n".encode())
-        for arr, dtype in arrays:
-            np.save(fh, np.asarray(arr, dtype=dtype), allow_pickle=False)
+        for arr in records:
+            np.save(fh, arr, allow_pickle=False)
 
 
 def load_chain(path):
@@ -304,19 +327,36 @@ def load_chain(path):
             # archive (raising BadZipFile) instead of refusing it.
             arrays = {
                 k: np.lib.format.read_array(fh, allow_pickle=False)
-                for k in (*names, *_CHAIN_DTYPES)
+                for k in (*names, *_CHAIN_RECORDS)
             }
             if fh.read(1):
                 raise DataError(f"{path}: data after the last chain array")
-        n, m = arrays["z"].shape
-        shapes = {"z": (n, m), "u": (n, m), "perm": (n, m), "s": (n, m, 2), "perind": (n, m)}
-        for k, arr in arrays.items():
-            dtype, shape = _CHAIN_DTYPES.get(k, np.float64), shapes.get(k, (n,))
+
+        def check(k, dtype, shape):
+            arr = arrays[k]
             if arr.dtype != dtype or arr.shape != shape:
                 raise DataError(
                     f"{path}: chain array {k} is {arr.dtype} {arr.shape}, "
                     f"expected {np.dtype(dtype)} {shape}"
                 )
+
+        s = arrays["s"]
+        n, m = s.shape[:2] if s.ndim == 3 else (0, 0)
+        check("s", np.float64, (n, m, 2))
+        for k in (*names, "loglik", "logprior"):
+            check(k, np.float64, (n,))
+        for k in ("z", "u"):
+            check(k, np.uint8, (n, -(-m // 8)))
+            if m % 8 and (arrays[k][:, -1] & ((1 << (8 - m % 8)) - 1)).any():
+                raise DataError(f"{path}: chain array {k} has bits set past row {m}")
+        check("perm", _perm_dtype(m), (n, m))
+        if n and arrays["perm"].max() >= m:
+            raise DataError(f"{path}: chain array perm holds values outside [0, {m})")
+        z = np.unpackbits(arrays["z"], axis=1, count=m)
+        included = z == 1
+        check("perind", np.float64, (int(np.count_nonzero(included)),))
+        perind = np.zeros((n, m))
+        perind[included] = arrays["perind"]
         return Chain(
             model=model,
             prior=PriorSpec(sigma_upper=float(meta["sigma_upper"])),
@@ -325,7 +365,13 @@ def load_chain(path):
             burn_in=int(meta["burn_in"]),
             params={k: arrays[k] for k in names},
             accept={k: float(v) for k, v in dict(meta["accept"]).items()},
-            **{k: arrays[k] for k in _CHAIN_DTYPES},
+            loglik=arrays["loglik"],
+            logprior=arrays["logprior"],
+            z=z,
+            u=np.unpackbits(arrays["u"], axis=1, count=m),
+            perm=arrays["perm"].astype(np.int32),
+            s=s,
+            perind=perind,
         )
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot read chain {path}: {exc}")

@@ -201,6 +201,7 @@ class _Sampler:
         self.n_prop = {n: 0 for n in self.mh_names}
         self.n_acc = {n: 0 for n in self.mh_names}
         self.n_prop["s"] = self.n_acc["s"] = 0
+        self.n_prop["s_included"] = self.n_acc["s_included"] = 0
         self.n_prop["perm"] = self.n_acc["perm"] = 0
 
         self._init_state(config)
@@ -464,6 +465,9 @@ class _Sampler:
             delta = np.zeros(m)
             delta[on] = det_new - self.det[on]
             accept = np.log(self.rng.random(m)) < delta
+        # excluded rows' moves always pass; the included rows' rate is the informative one
+        self.n_prop["s_included"] += self.on.size
+        self.n_acc["s_included"] += int(np.count_nonzero(accept[self.on]))
         self.n_acc["s"] += int(accept.sum())
         if not accept.any():
             return

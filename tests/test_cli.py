@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -303,6 +304,35 @@ class TestStudyAndReport:
         assert "selection proportions: waic2" in out
         assert "selection proportions: hm" not in out
         assert main(["report", "--results", str(study_dir), "--tool", "bogus"]) == 1
+
+    @pytest.mark.parametrize("workers, etas", [(1, ["3m20s", "2m30s", "0s"]),
+                                               (2, ["1m40s", "2m30s", "0s"])])
+    def test_progress_counts_done_and_estimates_time_left(
+            self, tmp_path, monkeypatch, capsys, workers, etas):
+        import secrsel.cli as cli_mod
+
+        def stub_study(*args, progress, **kwargs):
+            cells = [SimpleNamespace(scenario_id="busy", replicate=rep, status="ok",
+                                     wall_time_s=100.0 * rep) for rep in (1, 2, 3)]
+            for cell in cells:
+                progress(cell)
+            return SimpleNamespace(complete_cells=lambda: cells, cells=cells, failures=[])
+
+        monkeypatch.setattr(cli_mod, "run_study", stub_study)
+        cfg = tmp_path / "four.cfg"
+        cfg.write_text(TINY_CFG.replace("n_sim = 1", "n_sim = 4"))
+        out = tmp_path / "run"
+        # replicate 0 is loaded from its checkpoint: done, but not in the ETA
+        (out / "checkpoints").mkdir(parents=True)
+        (out / "checkpoints" / "cell_busy_0.json").write_text("{}")
+        assert main(["study", "--config", str(cfg), "--seed", "1", "--out", str(out),
+                     "--resume", "--workers", str(workers)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"cell busy/{rep}: ok ({100 * rep}.0s) {rep + 1}/4 done, ETA {eta}"
+            for rep, eta in zip((1, 2, 3), etas)
+        ]
+        assert "done, ETA" not in captured.out
 
     def test_report_empty_dir_is_data_error(self, tmp_path, capsys):
         assert main(["report", "--results", str(tmp_path / "void")]) == 2

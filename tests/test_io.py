@@ -22,8 +22,8 @@ from secrsel.io import (
     write_csv,
     write_manifest,
 )
-from secrsel.mcmc import McmcConfig, fit
-from secrsel.model import ModelId, active_param_names
+from secrsel.mcmc import Chain, McmcConfig, fit
+from secrsel.model import ModelId, PriorSpec, active_param_names
 from secrsel.simulate import Scenario, simulate_dataset
 
 from test_simulate import small_design
@@ -153,15 +153,115 @@ class TestChainFiles:
             load_chain(p)
 
     def test_rejects_wrong_dtype(self, chain, tmp_path):
+        src = tmp_path / "chain.bin"
+        save_chain(src, chain)
+        cases = [
+            ("z", lambda arr: arr.astype(np.float64), "array z is float64"),
+            ("perm", lambda arr: arr.astype(np.int32), "array perm is int32"),
+            ("perind", lambda arr: arr[:-1], r"array perind is float64 \(\d+,\), expected"),
+        ]
+        for name, swap, message in cases:
+            bad = tmp_path / f"bad_{name}.bin"
+            rewrite_record(src, bad, name, swap)
+            with pytest.raises(DataError, match=message):
+                load_chain(bad)
+
+    def test_rejects_version_2_chain(self, chain, tmp_path):
+        # v2 layout: the same header, then dense z/u (uint8), perm (int32)
+        # and perind (float64) records
+        p = tmp_path / "chain.bin"
+        head = {"model": "M1", "seed": 2, "n_iter": 40, "burn_in": 10,
+                "sigma_upper": 3.0, "accept": {}}
+        with p.open("wb") as fh:
+            fh.write(f"#%secr-chain v2\n{json.dumps(head)}\n".encode())
+            for k in active_param_names(chain.model):
+                np.save(fh, chain.params[k])
+            for k in CHAIN_RECORDS:
+                np.save(fh, getattr(chain, k))
+        with pytest.raises(DataError, match="version 2"):
+            load_chain(p)
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 256, 257])
+    def test_hand_built_round_trip(self, tmp_path, m):
+        chain = hand_built_chain(m)
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_chain(first, chain)
+        back = load_chain(first)
+        for name in CHAIN_RECORDS:
+            got, want = getattr(back, name), getattr(chain, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        assert all(back.params[k].tobytes() == v.tobytes() for k, v in chain.params.items())
+        save_chain(second, back)
+        assert first.read_bytes() == second.read_bytes()
+        # packed bits, the narrowest perm dtype and included perind entries only
+        _, records = read_records(first)
+        assert records["z"].shape == records["u"].shape == (chain.n_draws, (m + 7) // 8)
+        assert records["perm"].dtype == (np.uint8 if m <= 256 else np.uint16)
+        assert records["perind"].shape == (int(chain.z.sum()),)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c.z.__setitem__((0, 0), 2), "array z"),
+        (lambda c: c.u.__setitem__((1, 2), 3), "array u"),
+        (lambda c: c.perind.__setitem__(c.z == 0, 0.5), "array perind"),
+        (lambda c: c.perind.__setitem__(c.z == 0, -0.0), "array perind"),
+        (lambda c: c.perm.__setitem__((0, 0), 9), "array perm"),
+        (lambda c: c.perm.__setitem__((0, 0), -1), "array perm"),
+    ])
+    def test_save_refuses_what_it_cannot_store_exactly(self, tmp_path, edit, message):
+        chain = hand_built_chain(9)
+        edit(chain)
+        p = tmp_path / "chain.bin"
+        with pytest.raises(ValueError, match=message):
+            save_chain(p, chain)
+        assert not p.exists()
+
+    def test_rejects_bits_past_the_last_row(self, tmp_path):
+        chain = hand_built_chain(9)
         src, bad = tmp_path / "chain.bin", tmp_path / "bad.bin"
         save_chain(src, chain)
-        with src.open("rb") as fh, bad.open("wb") as out:
-            out.write(fh.readline() + fh.readline())
-            for name in [*active_param_names(chain.model), "loglik", "logprior", "z", "u", "perm", "s", "perind"]:
-                arr = np.lib.format.read_array(fh)
-                np.save(out, arr.astype(np.float64) if name == "z" else arr)
-        with pytest.raises(DataError, match="array z is float64"):
+        rewrite_record(src, bad, "u", lambda arr: arr | np.uint8(1))
+        with pytest.raises(DataError, match="array u has bits set past row 9"):
             load_chain(bad)
+
+
+CHAIN_RECORDS = ("loglik", "logprior", "z", "u", "perm", "s", "perind")
+
+
+def read_records(path):
+    """The schema and header lines of a chain file, and its records by name."""
+    with open(path, "rb") as fh:
+        head = fh.readline() + fh.readline()
+        model = ModelId(json.loads(head.splitlines()[1])["model"])
+        names = [*active_param_names(model), *CHAIN_RECORDS]
+        return head, {k: np.lib.format.read_array(fh) for k in names}
+
+
+def rewrite_record(src, dst, name, swap):
+    """Copy chain file `src` to `dst` with record `name` replaced by `swap(record)`."""
+    head, records = read_records(src)
+    with open(dst, "wb") as out:
+        out.write(head)
+        for k, arr in records.items():
+            np.save(out, swap(arr) if k == name else arr)
+
+
+def hand_built_chain(m, n=5, seed=0):
+    """A chain with every array drawn at random, perind zero where z = 0."""
+    rng = np.random.default_rng(seed)
+    z = (rng.random((n, m)) < 0.3).astype(np.uint8)
+    z[:, 0] = 1  # a -0.0 at an included row is kept as it is
+    perind = np.where(z == 1, rng.normal(size=(n, m)), 0.0)
+    perind[0, 0] = -0.0
+    return Chain(
+        model=ModelId.M2, prior=PriorSpec(sigma_upper=2.5), seed=seed, n_iter=n + 3,
+        burn_in=3,
+        params={k: rng.random(n) for k in active_param_names(ModelId.M2)},
+        z=z, u=(rng.random((n, m)) < 0.5).astype(np.uint8), s=rng.random((n, m, 2)),
+        perm=np.stack([rng.permutation(m) for _ in range(n)]).astype(np.int32),
+        loglik=perind.sum(axis=1), logprior=rng.normal(size=n), perind=perind,
+        accept={"s": 0.25, "perm": 0.0},
+    )
 
 
 class TestResultsCsv:
