@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.special import gammaincinv, gammaln, logsumexp, xlogy
+from scipy.special import gammaincinv, gammaln, xlogy
 
 from .errors import NumericalError
 from .mcmc import Chain
@@ -46,8 +46,10 @@ from .model import (
     _phi_terms,
     _sigma_rows,
     _scale_upper_bounds,
+    active_param_names,
     CaptureDataset,
     LatentState,
+    LinkedCounts,
     ModelId,
     ModelParams,
     detection_loglik,
@@ -391,20 +393,37 @@ class MapEstimate:
     sweep_params: Mapping[str, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
 
+def _by_owner_set(counts: LinkedCounts, perms: np.ndarray) -> list[list[int]]:
+    """Draw indices grouped by the owners of the nonzero detector-2 rows.
+
+    Assignments in one group give the same linked counts (`counts.linked`),
+    so callers gather those once per group rather than once per draw.
+    """
+    groups: dict[bytes, list[int]] = {}
+    for d, owners in enumerate(counts.owners(perms)):
+        groups.setdefault(owners.tobytes(), []).append(d)
+    return list(groups.values())
+
+
 def _joint_at_latents(chain: Chain, data: CaptureDataset, params: ModelParams) -> np.ndarray:
     """Joint log posterior of (fixed scalars, each draw's latent state).
 
-    The scalars are checked once; each draw's likelihood is that of
-    `log_likelihood` without re-checking the chain's own states.
+    The scalars are checked once and the linked counts gathered once per
+    owner set; each draw's likelihood is that of `log_likelihood` without
+    re-checking the chain's own states.
     """
     model = chain.model
     params.validate(model)
     vals = _latent_log_prior(
         model, chain.z, chain.u, params.psi, params.theta, data.statespace.area
     ) + log_prior(model, params, chain.prior)
-    for d in range(chain.n_draws):
-        per = _per_individual(model, data, params, chain.z[d], chain.u[d], chain.s[d], chain.perm[d])
-        vals[d] += float(per.sum())
+    for draws in _by_owner_set(data.counts, chain.perm):
+        linked = data.counts.linked(chain.perm[draws[0]])
+        for d in draws:
+            per = _per_individual(
+                model, data, params, chain.z[d], chain.u[d], chain.s[d], chain.perm[d], linked
+            )
+            vals[d] += float(per.sum())
     return vals
 
 
@@ -516,90 +535,143 @@ def gd_map(
 # ---------------------------------------------------------------------------
 
 
+def _log_sum_exp(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x))) over the last axis, shifted by each row's maximum.
+
+    Terms more than 700 below their row's maximum are raised to exp(-700):
+    that changes a sum of at least 1 by less than 1e-300 per term, and exp
+    is many times slower where its result underflows.  A row whose maximum
+    is not finite gives that maximum (-inf for a row of only -inf), without
+    a warning.
+    """
+    top = x.max(axis=-1)
+    finite = np.isfinite(top)
+    shift = np.where(finite, top, 0.0)
+    terms = np.exp(np.maximum(x - shift[..., None], -700.0))
+    return np.where(finite, np.log(terms.sum(axis=-1)) + shift, top)
+
+
 class _GridGeometry:
-    """State-space integration grid and its distances to the traps."""
+    """State-space integration grid and its distances to the traps.
+
+    The detection kernel is element-wise in the squared distance, so it is
+    computed on the distinct distances (`dist2`) and gathered through
+    `index`, (cells x traps); every entry equals the direct computation.
+    """
 
     def __init__(self, data: CaptureDataset, resolution: float | None = None):
-        self.cells = data.statespace.grid_cells(resolution)
-        self.n_cells = self.cells.shape[0]
+        cells = data.statespace.grid_cells(resolution)
+        self.n_cells = cells.shape[0]
         if self.n_cells == 0:
             raise ValueError("state-space grid is empty")
-        self.dist2 = squared_distances(self.cells, data.traps)  # (G, J)
+        dist2 = squared_distances(cells, data.traps)  # (G, J)
+        self.dist2, index = np.unique(dist2, return_inverse=True)
+        self.index = index.reshape(dist2.shape)
 
 
-def _il_total(
+class _OwnerSet:
+    """What the integrated likelihood reads of a row assignment.
+
+    That is the captured rows' counts on the traps they touch, their
+    recorded sexes and those of the uncaptured rows, all fixed by the owners
+    of the nonzero detector-2 rows; every draw with those owners shares one
+    instance.  Per draw only the scalars' work remains (`log_likelihood`).
+    """
+
+    def __init__(self, model: ModelId, data: CaptureDataset, geom: _GridGeometry, perm):
+        self.model, self.geom = model, geom
+        counts = data.counts
+        b, o = counts.linked(perm)
+        captured = counts.a_any | b.any(axis=1)
+        cap_rows = np.flatnonzero(captured)
+        y = (counts.a + b)[cap_rows]
+        if model.has_trap_entry:
+            n = y - o[cap_rows]  # occasions with at least one detector record
+            self.k_miss = data.n_occasions
+            self.records, self.entries = int(y.sum()), int(n.sum())
+        else:
+            n = y
+            self.k_miss = 2 * data.n_occasions
+        traps = np.flatnonzero(n.any(axis=0))
+        self.n_mat = n[:, traps].astype(float)  # (rows, traps touched)
+        self.index = np.ascontiguousarray(geom.index[:, traps].T)  # (traps touched, G)
+        self.u_cap = data.u_obs[cap_rows]
+        uncaptured = ~captured
+        self.n_uncaptured = int(uncaptured.sum())
+        self.c_m = int((uncaptured & (data.u_obs == 1)).sum())
+        self.c_f = int((uncaptured & (data.u_obs == 0)).sum())
+
+    def _grid_means(self, p, sigma: float) -> tuple[np.ndarray, float]:
+        """Log grid means of the detection likelihood at scale `sigma`: per
+        captured row, and for a row never captured.
+
+        Row i at cell g is sum_j n_ij (log hit - log miss)_gj + empty_g, the
+        k - n miss terms folded into empty_g = k sum_j (log miss)_gj.
+        """
+        geom = self.geom
+        log_kern = geom.dist2 / (-2.0 * sigma * sigma)
+        if self.model.has_trap_entry:
+            log_hit = _safe_log(p["omega0"]) + log_kern
+            miss = 1.0 - np.exp(log_hit) * (p["phi"] * (2.0 - p["phi"]))
+            np.clip(miss, _COMP_FLOOR, None, out=miss)
+            log_miss = np.log(miss)
+        else:
+            log_hit = _safe_log(p["p0"]) + log_kern
+            log_miss = np.log1p(-np.exp(log_hit))
+        empty = self.k_miss * log_miss.take(geom.index).sum(axis=1)  # (G,)
+        ll = self.n_mat @ (log_hit - log_miss).take(self.index)
+        ll += empty
+        log_g = math.log(geom.n_cells)
+        return _log_sum_exp(ll) - log_g, float(_log_sum_exp(empty)) - log_g
+
+    def log_likelihood(self, p) -> float:
+        """Integrated log likelihood at the scalars `p` (name -> float)."""
+        log_psi = _safe_log(p["psi"])
+        log_1mpsi = _safe_log(1.0 - p["psi"])
+        total = 0.0
+        if self.model.has_trap_entry:  # the same for both sexes
+            total = float(_phi_terms(self.records, self.entries, p["phi"]))
+        if not self.model.has_sex_effect:
+            cap, empty = self._grid_means(p, p["sigma"])
+            v_unc = np.logaddexp(log_1mpsi, log_psi + empty)
+            return float(total + (log_psi + cap).sum() + self.n_uncaptured * v_unc)
+        cap_m, empty_m = self._grid_means(p, p["sigma_m"])
+        cap_f, empty_f = self._grid_means(p, p["sigma_f"])
+        log_wm = _safe_log(p["theta"])
+        log_wf = _safe_log(1.0 - p["theta"])
+        term_m = log_wm + log_psi + cap_m
+        term_f = log_wf + log_psi + cap_f
+        cap_vals = np.where(
+            self.u_cap == 1,
+            term_m,
+            np.where(self.u_cap == 0, term_f, np.logaddexp(term_m, term_f)),
+        )
+        v_m = log_wm + np.logaddexp(log_1mpsi, log_psi + empty_m)
+        v_f = log_wf + np.logaddexp(log_1mpsi, log_psi + empty_f)
+        v_unknown = np.logaddexp(v_m, v_f)
+        c_u = self.n_uncaptured - self.c_m - self.c_f
+        return float(total + cap_vals.sum() + self.c_m * v_m + self.c_f * v_f + c_u * v_unknown)
+
+
+def _il_sweep(
     model: ModelId,
     data: CaptureDataset,
-    geom: _GridGeometry,
-    params: ModelParams,
-    perm: np.ndarray,
-) -> float:
-    """Integrated log likelihood given scalars and a row assignment.
+    params: Mapping[str, np.ndarray],
+    perms: np.ndarray,
+    resolution: float | None,
+) -> np.ndarray:
+    """Integrated log likelihood of draws (params[.][d], perms[d]), (n,).
 
-    Inclusion, sex, and activity centre are summed/averaged out per
-    individual; observed sexes restrict the sex sum to the recorded value
-    (contributing their Bernoulli factor without renormalization).  Detection
-    terms are a (rows x traps) @ (traps x cells) product over the grid.
+    Draws are grouped by owner set, and only one group's `_OwnerSet` is
+    alive at a time.
     """
-    b, o = data.counts.linked(perm)
-    a = data.counts.a
-    captured = data.counts.a_any | b.any(axis=1)
-    cap_rows = np.flatnonzero(captured)
-    k_occ = data.n_occasions
-    log_psi = _safe_log(params.psi)
-    log_1mpsi = _safe_log(1.0 - params.psi)
-    sexes = (1, 0) if model.has_sex_effect else (0,)
-    avg_cap = {}
-    avg_empty = {}
-    for sex in sexes:
-        if model.has_sex_effect:
-            sigma = params.sigma_m if sex == 1 else params.sigma_f
-        else:
-            sigma = params.sigma
-        log_kern = geom.dist2 / (-2.0 * sigma * sigma)  # (G, J)
-        if model.has_trap_entry:
-            log_eta = _safe_log(params.omega0) + log_kern
-            comp = 1.0 - np.exp(log_eta) * (params.phi * (2.0 - params.phi))
-            np.clip(comp, _COMP_FLOOR, None, out=comp)
-            log_comp = np.log(comp)
-            if cap_rows.size:
-                n_mat = (a + b - o)[cap_rows].astype(float)
-                ll = n_mat @ log_eta.T + (k_occ - n_mat) @ log_comp.T
-                y_tot = (a + b)[cap_rows].sum(axis=1)
-                ll += _phi_terms(y_tot, n_mat.sum(axis=1), params.phi)[:, None]
-            empty = k_occ * log_comp.sum(axis=1)  # (G,)
-        else:
-            log_p = _safe_log(params.p0) + log_kern
-            log_q = np.log1p(-np.exp(log_p))
-            if cap_rows.size:
-                y_mat = (a + b)[cap_rows].astype(float)
-                ll = y_mat @ log_p.T + (2 * k_occ - y_mat) @ log_q.T
-            empty = (2 * k_occ) * log_q.sum(axis=1)
-        if cap_rows.size:
-            avg_cap[sex] = logsumexp(ll, axis=1) - math.log(geom.n_cells)
-        else:
-            avg_cap[sex] = np.zeros(0)
-        avg_empty[sex] = float(logsumexp(empty) - math.log(geom.n_cells))
-    uncaptured = ~captured
-    if model.has_sex_effect:
-        log_wm = _safe_log(params.theta)
-        log_wf = _safe_log(1.0 - params.theta)
-        uo_cap = data.u_obs[cap_rows]
-        term_m = log_wm + log_psi + avg_cap[1]
-        term_f = log_wf + log_psi + avg_cap[0]
-        cap_vals = np.where(
-            uo_cap == 1, term_m, np.where(uo_cap == 0, term_f, np.logaddexp(term_m, term_f))
-        )
-        v_m = log_wm + np.logaddexp(log_1mpsi, log_psi + avg_empty[1])
-        v_f = log_wf + np.logaddexp(log_1mpsi, log_psi + avg_empty[0])
-        v_unknown = np.logaddexp(v_m, v_f)
-        c_m = int((uncaptured & (data.u_obs == 1)).sum())
-        c_f = int((uncaptured & (data.u_obs == 0)).sum())
-        c_u = int(uncaptured.sum()) - c_m - c_f
-        return float(cap_vals.sum() + c_m * v_m + c_f * v_f + c_u * v_unknown)
-    cap_vals = log_psi + avg_cap[0]
-    v_unc = np.logaddexp(log_1mpsi, log_psi + avg_empty[0])
-    return float(cap_vals.sum() + int(uncaptured.sum()) * v_unc)
+    geom = _GridGeometry(data, resolution)
+    out = np.empty(perms.shape[0])
+    for draws in _by_owner_set(data.counts, perms):
+        owner_set = _OwnerSet(model, data, geom, perms[draws[0]])
+        for d in draws:
+            out[d] = owner_set.log_likelihood({k: float(v[d]) for k, v in params.items()})
+    return out
 
 
 def integrated_log_likelihood(
@@ -614,13 +686,17 @@ def integrated_log_likelihood(
     Each individual's inclusion flag and (for sex models) sex are summed out
     analytically, and its activity centre is integrated by a Riemann average
     over the regular state-space grid; the row assignment `perm` stays
-    fixed.  The assignment's own uniform prior (1/M!) is *not* included.
+    fixed.  Observed sexes restrict the sex sum to the recorded value
+    (contributing their Bernoulli factor without renormalization).  The
+    assignment's own uniform prior (1/M!) is *not* included.  This is the
+    one-draw case of `integrated_loglik_draws`, with the same cost model.
     """
     model = ModelId(model)
     params.validate(model)
     perm = np.asarray(perm, dtype=np.int64)
     _check_permutation(perm, data.n_augmented)
-    return _il_total(model, data, _GridGeometry(data, resolution), params, perm)
+    scalars = {k: np.array([params[k]]) for k in active_param_names(model)}
+    return float(_il_sweep(model, data, scalars, perm[None], resolution)[0])
 
 
 def integrated_loglik_draws(
@@ -629,13 +705,15 @@ def integrated_loglik_draws(
     """Integrated log likelihood at every draw's (scalars, row assignment).
 
     This is the expensive shared input of `gd_il`; compute it once per chain
-    and pass it to each tuning variant.
+    and pass it to each tuning variant.  Its cost follows what a draw
+    changes.  Once per owner set (the owners of the nonzero detector-2 rows,
+    all a likelihood reads of an assignment; a chain visits few) it links
+    the counts and gathers the captured rows.  Once per draw and sex it
+    evaluates the kernel on the grid's distinct distances, takes one (rows x
+    traps touched) @ (traps touched x cells) product and a log-sum-exp over
+    the cells.
     """
-    geom = _GridGeometry(data, resolution)
-    il = np.empty(chain.n_draws)
-    for d in range(chain.n_draws):
-        il[d] = _il_total(chain.model, data, geom, chain.params_at(d), chain.perm[d])
-    return il
+    return _il_sweep(chain.model, data, chain.params, chain.perm, resolution)
 
 
 def gd_il(

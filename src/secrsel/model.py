@@ -408,12 +408,17 @@ class LinkedCounts:
         p1, p2 = self._pos1[i], self._pos2[b]
         return self._overlap[p1, p2] if p1 >= 0 and p2 >= 0 else self._zero
 
+    def owners(self, perm: np.ndarray) -> np.ndarray:
+        """Owners of the nonzero detector-2 rows under `perm` (one or a stack
+        of permutations), all that `linked` reads of it."""
+        return perm[..., self._rows2]
+
     def linked(self, perm: np.ndarray):
         """Fresh (b, o) per-individual count matrices under `perm`, (M, J)."""
         b = np.empty_like(self.b_rows)
         b[perm] = self.b_rows
         o = np.zeros_like(self.a)
-        owners = perm[self._rows2]
+        owners = self.owners(perm)
         p1 = self._pos1[owners]
         hit = p1 >= 0
         o[owners[hit]] = self._overlap[p1[hit], np.flatnonzero(hit)]
@@ -521,17 +526,22 @@ def per_individual_log_likelihood(
     if latent.z.shape[0] != data.n_augmented:
         raise ValueError("latent state and dataset disagree on M")
     _check_permutation(latent.perm, data.n_augmented)
-    return _per_individual(model, data, params, latent.z, latent.u, latent.s, latent.perm)
+    linked = data.counts.linked(latent.perm)
+    return _per_individual(model, data, params, latent.z, latent.u, latent.s, latent.perm, linked)
 
 
-def _per_individual(model: ModelId, data: CaptureDataset, params, z, u, s, perm) -> np.ndarray:
+def _per_individual(
+    model: ModelId, data: CaptureDataset, params, z, u, s, perm, linked
+) -> np.ndarray:
     """`per_individual_log_likelihood` of one state given as unchecked arrays.
 
     For callers that check the scalars once and evaluate many states of a
     chain, whose rows are valid by construction (perm a permutation).
+    `linked` is `data.counts.linked(perm)`, which draws sharing an owner set
+    share.
     """
     a = data.counts.a
-    b, o = data.counts.linked(perm)
+    b, o = linked
     on = np.flatnonzero(z == 1)
     sigma = _per_trap(_sigma_rows(model, params, u[on]))
     kernel = _gaussian(squared_distances(s[on], data.traps), sigma)

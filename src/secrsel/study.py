@@ -35,7 +35,9 @@ from .errors import DataError
 from .io import write_csv, write_manifest
 from .marglik import (
     MapEstimate,
+    TuningDensity,
     TuningKind,
+    fit_tuning,
     gd_il,
     gd_map,
     harmonic_mean,
@@ -453,10 +455,14 @@ def score_tools(
 ) -> ToolScores:
     """Score every requested tool on the four fitted chains and select.
 
-    Shared work (posterior-mode refinement, the integrated-likelihood sweep)
-    is computed once per model and reused across the tools that need it.  A
-    failure inside one tool is recorded per (tool, model) and makes only that
-    tool's selection undefined; the other tools are unaffected.
+    Shared work is computed once per model and reused across the tools that
+    need it: posterior-mode refinement, each tuning density (fitted once for
+    GD-MAP and GD-IL alike) and the integrated-likelihood sweep.  The sweep
+    costs one gather of linked counts per owner set (the owners of the
+    nonzero detector-2 rows, few per chain) and then one grid evaluation
+    per draw (`integrated_loglik_draws`).  A failure inside one tool is
+    recorded per (tool, model) and makes only that tool's selection
+    undefined; the other tools are unaffected.
     """
     tools = tuple(tools)
     missing = [m.value for m in MODEL_ORDER if m not in chains]
@@ -494,6 +500,7 @@ def score_tools(
 
     for model in MODEL_ORDER:
         chain = chains[model]
+        tunings: dict[TuningKind, TuningDensity] = {}
         for tool in tools:
             fam = tool.family
             try:
@@ -501,22 +508,22 @@ def score_tools(
                     est = harmonic_mean(chain)
                     marglik_rows.append(_marglik_row(model, est))
                     value = est.value
-                elif fam == "gd_map":
-                    if "map" in shared_errors[model]:
-                        raise RuntimeError(shared_errors[model]["map"])
-                    est = gd_map(chain, data, tool.tuning, map_estimate=maps[model])
-                    marglik_rows.append(_marglik_row(model, est))
-                    value = est.value
-                elif fam == "gd_il":
-                    if "il" in shared_errors[model]:
-                        raise RuntimeError(shared_errors[model]["il"])
-                    est = gd_il(
-                        chain,
-                        data,
-                        tool.tuning,
-                        resolution=grid_resolution,
-                        il_values=ils[model],
-                    )
+                elif fam in ("gd_map", "gd_il"):
+                    shared = "map" if fam == "gd_map" else "il"
+                    if shared in shared_errors[model]:
+                        raise RuntimeError(shared_errors[model][shared])
+                    if tool.tuning not in tunings:
+                        tunings[tool.tuning] = fit_tuning(chain, tool.tuning)
+                    if fam == "gd_map":
+                        est = gd_map(chain, data, tunings[tool.tuning], map_estimate=maps[model])
+                    else:
+                        est = gd_il(
+                            chain,
+                            data,
+                            tunings[tool.tuning],
+                            resolution=grid_resolution,
+                            il_values=ils[model],
+                        )
                     marglik_rows.append(_marglik_row(model, est))
                     value = est.value
                 elif fam == "dic":

@@ -700,6 +700,186 @@ class TestIntegratedLikelihood:
             )
 
 
+def _il_reference(model, data, params, perm, resolution=None):
+    """The integrated likelihood as written before the owner-set sweep.
+
+    Links the counts for this one assignment, evaluates the kernel on every
+    (cell, trap) pair, takes the two products against the hit and miss logs
+    and SciPy's log-sum-exp; kept here as the sweep's reference.
+    """
+    from scipy.special import xlogy
+
+    def safe_log(x):
+        return math.log(x) if x > 0.0 else -math.inf
+
+    a = data.counts.a
+    b, o = data.counts.linked(np.asarray(perm))
+    captured = data.counts.a_any | b.any(axis=1)
+    cap_rows = np.flatnonzero(captured)
+    cells = data.statespace.grid_cells(resolution)
+    dist2 = ((cells[:, None, :] - data.traps.locations[None, :, :]) ** 2).sum(axis=2)
+    k_occ = data.n_occasions
+    log_psi, log_1mpsi = safe_log(params.psi), safe_log(1.0 - params.psi)
+    sexes = (1, 0) if model.has_sex_effect else (0,)
+    avg_cap, avg_empty = {}, {}
+    for sex in sexes:
+        if model.has_sex_effect:
+            sigma = params.sigma_m if sex == 1 else params.sigma_f
+        else:
+            sigma = params.sigma
+        log_kern = dist2 / (-2.0 * sigma * sigma)
+        if model.has_trap_entry:
+            log_eta = safe_log(params.omega0) + log_kern
+            comp = np.clip(1.0 - np.exp(log_eta) * (params.phi * (2.0 - params.phi)), 1e-300, None)
+            log_comp = np.log(comp)
+            n_mat = (a + b - o)[cap_rows].astype(float)
+            ll = n_mat @ log_eta.T + (k_occ - n_mat) @ log_comp.T
+            y_tot = (a + b)[cap_rows].sum(axis=1)
+            n_tot = n_mat.sum(axis=1)
+            ll += (xlogy(y_tot, params.phi) + xlogy(2 * n_tot - y_tot, 1.0 - params.phi))[:, None]
+            empty = k_occ * log_comp.sum(axis=1)
+        else:
+            log_p = safe_log(params.p0) + log_kern
+            log_q = np.log1p(-np.exp(log_p))
+            y_mat = (a + b)[cap_rows].astype(float)
+            ll = y_mat @ log_p.T + (2 * k_occ - y_mat) @ log_q.T
+            empty = (2 * k_occ) * log_q.sum(axis=1)
+        avg_cap[sex] = logsumexp(ll, axis=1) - math.log(len(cells))
+        avg_empty[sex] = float(logsumexp(empty) - math.log(len(cells)))
+    uncaptured = ~captured
+    if model.has_sex_effect:
+        log_wm, log_wf = safe_log(params.theta), safe_log(1.0 - params.theta)
+        uo_cap = data.u_obs[cap_rows]
+        term_m = log_wm + log_psi + avg_cap[1]
+        term_f = log_wf + log_psi + avg_cap[0]
+        cap_vals = np.where(
+            uo_cap == 1, term_m, np.where(uo_cap == 0, term_f, np.logaddexp(term_m, term_f))
+        )
+        v_m = log_wm + np.logaddexp(log_1mpsi, log_psi + avg_empty[1])
+        v_f = log_wf + np.logaddexp(log_1mpsi, log_psi + avg_empty[0])
+        c_m = int((uncaptured & (data.u_obs == 1)).sum())
+        c_f = int((uncaptured & (data.u_obs == 0)).sum())
+        c_u = int(uncaptured.sum()) - c_m - c_f
+        return float(cap_vals.sum() + c_m * v_m + c_f * v_f + c_u * np.logaddexp(v_m, v_f))
+    v_unc = np.logaddexp(log_1mpsi, log_psi + avg_empty[0])
+    return float((log_psi + avg_cap[0]).sum() + int(uncaptured.sum()) * v_unc)
+
+
+def _with_unlinked_row(data):
+    """`data` plus an unlinked detector-2 row, a detector-1-only individual
+    it overlaps, and recorded sexes on rows never captured."""
+    i = data.n_full  # the first row past the fully identified ones
+    y1, y2, u_obs = data.y1.copy(), data.y2.copy(), data.u_obs.copy()
+    y1[i, 0, :3] = 1
+    y2[i, 0, 1:4] = 1
+    y2[i, 4, 0] = 1
+    u_obs[-3:] = [1, 0, 0]
+    return CaptureDataset(y1, y2, data.n_full, u_obs, data.traps, data.statespace)
+
+
+def _interleaved_chain(chain, data):
+    """Six of the chain's draws, each twice: once with the unlinked row
+    `data.n_full` owned by the individual it overlaps, once by an individual
+    never captured, so the draws alternate two owner sets."""
+    import dataclasses
+
+    idx = np.repeat(np.arange(0, chain.n_draws, chain.n_draws // 6)[:6], 2)
+    perm = chain.perm[idx].copy()
+    row = data.n_full
+    for d in range(idx.size):
+        owner = row if d % 2 == 0 else data.n_augmented - 1
+        held = int(np.flatnonzero(perm[d] == owner)[0])
+        perm[d, [row, held]] = perm[d, [held, row]]
+    return dataclasses.replace(
+        chain,
+        params={k: v[idx].copy() for k, v in chain.params.items()},
+        z=chain.z[idx],
+        u=chain.u[idx],
+        s=chain.s[idx],
+        perm=perm,
+        loglik=chain.loglik[idx],
+        logprior=chain.logprior[idx],
+        perind=chain.perind[idx],
+    )
+
+
+class TestIntegratedLikelihoodSweep:
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_sweep_matches_reference_on_chains(self, model, busy_data, busy_chains):
+        data, _ = busy_data
+        chain = busy_chains[model]
+        got = integrated_loglik_draws(chain, data)
+        want = np.array(
+            [_il_reference(model, data, chain.params_at(d), chain.perm[d]) for d in range(chain.n_draws)]
+        )
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    @pytest.mark.parametrize("resolution", [None, 0.5])
+    def test_interleaved_owner_sets_and_repeated_scalars(
+        self, model, resolution, busy_data, busy_chains
+    ):
+        data = _with_unlinked_row(busy_data[0])
+        chain = _interleaved_chain(busy_chains[model], data)
+        owner_sets = {data.counts.owners(p).tobytes() for p in chain.perm}
+        assert len(owner_sets) == 2
+        got = integrated_loglik_draws(chain, data, resolution)
+        want = np.array(
+            [
+                _il_reference(model, data, chain.params_at(d), chain.perm[d], resolution)
+                for d in range(chain.n_draws)
+            ]
+        )
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+        # the owner set changes the value, and equal draws give equal values
+        assert np.all(got[0::2] != got[1::2])
+        for d in range(chain.n_draws):
+            one = integrated_log_likelihood(
+                model, data, chain.params_at(d), chain.perm[d], resolution
+            )
+            assert one == got[d]
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_joint_at_latents_follows_each_owner_set(self, model, busy_data, busy_chains):
+        import dataclasses
+
+        data = _with_unlinked_row(busy_data[0])
+        chain = _interleaved_chain(busy_chains[model], data)
+        z = chain.z.copy()
+        z[:, [data.n_full, data.n_augmented - 1]] = 1  # both owners included
+        chain = dataclasses.replace(chain, z=z)
+        params = chain.params_at(0)
+        got = _joint_at_latents(chain, data, params)
+        want = _latent_log_prior(
+            model, chain.z, chain.u, params.psi, params.theta, data.statespace.area
+        ) + log_prior(model, params, chain.prior)
+        for d in range(chain.n_draws):
+            want[d] += log_likelihood(model, data, params, chain.latent_at(d))
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, want)
+
+    def test_log_sum_exp_edges(self):
+        from secrsel.marglik import _log_sum_exp
+
+        x = np.array(
+            [
+                [-np.inf, -np.inf, -np.inf],
+                [700.0, 699.0, -5.0],
+                [-700.0, -710.0, -1e4],
+                [-700.0, 700.0, 0.0],
+            ]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _log_sum_exp(x)
+            single = _log_sum_exp(np.full(4, -np.inf))
+        assert got[0] == -np.inf and single == -np.inf
+        assert not np.isnan(got).any()
+        assert np.all(np.isfinite(got[1:]))
+        np.testing.assert_allclose(got[1:], logsumexp(x[1:], axis=1), rtol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # The three estimators and their identities
 # ---------------------------------------------------------------------------
